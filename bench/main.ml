@@ -1518,7 +1518,7 @@ let collect_baseline () =
       (fun (e : Twine_sqldb.Sqlstat.entry) ->
         let open Twine_sqldb in
         let pfx = "serve.sql." ^ e.Sqlstat.sq_label ^ "." in
-        put (Baseline.v ~tol:0.0 (pfx ^ "count") e.Sqlstat.sq_count);
+        put (Baseline.v ~tol:0.0 (pfx ^ "count") (Sqlstat.count e));
         put (Baseline.v ~tol:0.0 (pfx ^ "rows") e.Sqlstat.sq_rows);
         put (Baseline.v ~tol:0.02 (pfx ^ "exec_ns") e.Sqlstat.sq_exec_ns);
         put (Baseline.v ~tol:0.02 (pfx ^ "pager_ns") e.Sqlstat.sq_pager_ns);

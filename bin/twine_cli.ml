@@ -279,7 +279,7 @@ let serve_cmd =
   let slo =
     Arg.(value & opt (some string) None & info [ "slo" ] ~docv:"SPEC"
            ~doc:"Latency objective to evaluate over the windowed series, \
-                 e.g. $(b,p99<2ms\\@50ms,budget=0.1%). Optional \
+                 e.g. $(b,p99<2ms@50ms,budget=0.1%). Optional \
                  $(b,,fast=14.4x1) / $(b,,slow=6x5) override the burn-rate \
                  alert thresholds (multiplier x windows). Exit code 3 when \
                  the objective is violated over the whole run.")
@@ -294,7 +294,7 @@ let serve_cmd =
   let chaos =
     Arg.(value & opt (some string) None & info [ "chaos" ] ~docv:"SPEC"
            ~doc:"Arm a seeded fault schedule for the serving phase, e.g. \
-                 $(b,enclave.ecall=crash\\@500) (crash the 500th entry) or \
+                 $(b,enclave.ecall=crash@500) (crash the 500th entry) or \
                  $(b,seed=c1;enclave.ecall=fail%0.01x5[10ms..80ms]) \
                  (transient entry failures at 1% in a virtual-time \
                  window, at most 5). ;-separated rules; actions crash, \
@@ -434,11 +434,6 @@ let serve_cmd =
           | Some b -> b
           | None ->
               Twine_serve.Serve.default_config.Twine_serve.Serve.backoff_ns);
-        backoff_cap_ns =
-          (match backoff with
-          | Some b -> b * 50
-          | None ->
-              Twine_serve.Serve.default_config.Twine_serve.Serve.backoff_cap_ns);
         shed_depth;
         hedge;
       }

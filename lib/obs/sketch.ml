@@ -12,7 +12,10 @@
    All state is integers on a fixed bucket universe, so insertion
    order and merge grouping cannot perturb the result: the serving
    fleet merges per-window, per-enclave sketches into fleet tails and
-   still replays byte-identically. *)
+   still replays byte-identically. The bucket array is allocated only
+   up to the highest binade touched: every [Machine.charge] feeds a
+   sketch in the telemetry registry, and most of them never see a
+   value past a few microseconds. *)
 
 let sb_bits = 6
 let subbuckets = 1 lsl sb_bits
@@ -28,12 +31,22 @@ type t = {
   mutable s_sum : int;
   mutable s_min : int;  (* max_int sentinel when empty *)
   mutable s_max : int;
-  buckets : int array;
+  mutable buckets : int array;
+      (* indices past the end hold 0; the length is a whole number of
+         binades covering the highest index touched, at most [nbuckets] *)
 }
 
 let create () =
-  { s_count = 0; s_sum = 0; s_min = max_int; s_max = 0;
-    buckets = Array.make nbuckets 0 }
+  { s_count = 0; s_sum = 0; s_min = max_int; s_max = 0; buckets = [||] }
+
+(* Make bucket [i] addressable, growing to the end of its binade. *)
+let ensure t i =
+  let len = Array.length t.buckets in
+  if i >= len then begin
+    let b = Array.make (min nbuckets ((i / subbuckets) + 1) * subbuckets) 0 in
+    Array.blit t.buckets 0 b 0 len;
+    t.buckets <- b
+  end
 
 let bitlen v =
   let b = ref 0 and v = ref v in
@@ -64,35 +77,36 @@ let insert t v =
   if v < t.s_min then t.s_min <- v;
   if v > t.s_max then t.s_max <- v;
   let i = index_of v in
+  ensure t i;
   t.buckets.(i) <- t.buckets.(i) + 1
 
 let merge a b =
-  let t = create () in
-  t.s_count <- a.s_count + b.s_count;
-  t.s_sum <- a.s_sum + b.s_sum;
-  t.s_min <- min a.s_min b.s_min;
-  t.s_max <- max a.s_max b.s_max;
-  for i = 0 to nbuckets - 1 do
-    t.buckets.(i) <- a.buckets.(i) + b.buckets.(i)
-  done;
-  t
+  let long, short =
+    if Array.length a.buckets >= Array.length b.buckets then (a, b) else (b, a)
+  in
+  let buckets = Array.copy long.buckets in
+  Array.iteri (fun i c -> buckets.(i) <- buckets.(i) + c) short.buckets;
+  { s_count = a.s_count + b.s_count; s_sum = a.s_sum + b.s_sum;
+    s_min = min a.s_min b.s_min; s_max = max a.s_max b.s_max; buckets }
 
 let count t = t.s_count
 let sum t = t.s_sum
 let vmin t = if t.s_count = 0 then 0 else t.s_min
 let vmax t = t.s_max
 
+(* Nearest rank ceil(q * n), clamped to [1, n]. The epsilon guards
+   against float representation pushing an exact product just above the
+   integer: 0.99 *. 100. = 99.000…01, whose ceil would be 100 — one
+   whole sample too high. *)
+let rank n q =
+  let r = int_of_float (ceil ((q *. float_of_int n) -. 1e-9)) in
+  if r < 1 then 1 else if r > n then n else r
+
 let quantile t q =
   if q < 0. || q > 1. then invalid_arg "Sketch.quantile: q outside [0,1]";
   if t.s_count = 0 then None
   else begin
-    (* nearest rank, with the same epsilon guard as Obs.quantile: an
-       exact product like 0.99 *. 100. can land just above the integer
-       and ceil to one whole rank too high *)
-    let rank =
-      let r = int_of_float (ceil ((q *. float_of_int t.s_count) -. 1e-9)) in
-      if r < 1 then 1 else if r > t.s_count then t.s_count else r
-    in
+    let rank = rank t.s_count q in
     (* ranks 1 and count are the tracked extremes — exact, no bucket *)
     if rank = 1 then Some t.s_min
     else if rank = t.s_count then Some t.s_max
@@ -114,7 +128,7 @@ let schema = "twine-sketch/v1"
 
 let to_json t =
   let pairs = ref [] in
-  for i = nbuckets - 1 downto 0 do
+  for i = Array.length t.buckets - 1 downto 0 do
     if t.buckets.(i) <> 0 then
       pairs :=
         Json.Arr [ Num (float_of_int i); Num (float_of_int t.buckets.(i)) ]
@@ -174,6 +188,7 @@ let of_json j =
             if i < 0 || i >= nbuckets || c <= 0 then
               Error "sketch: bucket out of range"
             else begin
+              ensure t i;
               t.buckets.(i) <- t.buckets.(i) + c;
               fill (pop + c) rest
             end

@@ -13,7 +13,9 @@
     inserting the same multiset in any order, or merging any
     partition of it in any grouping, yields bit-identical state — the
     property the streaming serve plane leans on when per-window
-    sketches from different enclaves are merged into fleet tails. *)
+    sketches from different enclaves are merged into fleet tails.
+    Memory grows with the largest value seen: buckets are allocated a
+    binade at a time up to the highest one touched. *)
 
 type t
 
@@ -40,8 +42,15 @@ val vmin : t -> int
 val vmax : t -> int
 (** Exact maximum inserted value; 0 when the sketch is empty. *)
 
+val rank : int -> float -> int
+(** [rank n q] is the 1-based nearest rank of the [q]-quantile among
+    [n] ordered samples: [ceil (q * n)] clamped to [[1, n]], guarded so
+    that float error in an exact product (0.99 * 100) cannot push it one
+    whole rank high. The one rank definition for every percentile in
+    the tree. *)
+
 val quantile : t -> float -> int option
-(** Nearest-rank quantile estimate: midpoint of the covering bucket,
+(** Nearest-rank ({!rank}) quantile estimate: midpoint of the covering bucket,
     clamped to the exact [vmin]/[vmax]. Within [alpha] relative error
     of the true order statistic; [None] when empty.
     @raise Invalid_argument when [q] is outside [0, 1]. *)

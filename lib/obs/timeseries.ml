@@ -29,9 +29,6 @@ type window = {
 
 type cell = {
   c_index : int;
-  mutable c_count : int;
-  mutable c_sum : int;
-  mutable c_max : int;
   mutable c_overs : int;
   c_sketch : Sketch.t;
   c_comps : (string, int ref) Hashtbl.t;
@@ -59,9 +56,6 @@ let create ?threshold_ns ?probe ?on_close ~t0 ~window_ns () =
 let fresh_cell index =
   {
     c_index = index;
-    c_count = 0;
-    c_sum = 0;
-    c_max = 0;
     c_overs = 0;
     c_sketch = Sketch.create ();
     c_comps = Hashtbl.create 8;
@@ -92,9 +86,9 @@ let close_cell t name st =
       w_index = c.c_index;
       w_start_ns = t.t0 + (c.c_index * t.window_ns);
       w_end_ns = t.t0 + ((c.c_index + 1) * t.window_ns);
-      w_count = c.c_count;
-      w_sum_ns = c.c_sum;
-      w_max_ns = c.c_max;
+      w_count = Sketch.count c.c_sketch;
+      w_sum_ns = Sketch.sum c.c_sketch;
+      w_max_ns = Sketch.vmax c.c_sketch;
       w_p50_ns = q 0.5;
       w_p99_ns = q 0.99;
       w_overs = c.c_overs;
@@ -120,9 +114,6 @@ let record t ~now ~track ~latency_ns ?(comps = []) () =
     invalid_arg "Timeseries.record: timestamp before the open window";
   advance_track t track st ~upto:idx;
   let c = st.tr_cur in
-  c.c_count <- c.c_count + 1;
-  c.c_sum <- c.c_sum + latency_ns;
-  if latency_ns > c.c_max then c.c_max <- latency_ns;
   (match t.threshold_ns with
   | Some thr when latency_ns > thr -> c.c_overs <- c.c_overs + 1
   | _ -> ());

@@ -54,8 +54,6 @@ type config = {
   wasm_factor : float;
       (* pinned, never wall-clock calibrated: reproducibility first *)
   ns_per_work : float;
-  trace_requests : bool;
-  sample_every_ns : int;  (* virtual-time metrics sampling period; 0 = off *)
   retain_requests : bool;
       (* keep the per-request log (blame, exact percentiles); --stream
          turns it off and the run holds O(windows + sketch) memory *)
@@ -67,13 +65,11 @@ type config = {
          in the spec are relative to the phase start *)
   deadline_ns : int;  (* client gives up this long after arrival; 0 = off *)
   retries : int;  (* requeues allowed per request after a failed batch *)
-  backoff_ns : int;  (* retry backoff base; attempt k waits base * 2^(k-1) *)
-  backoff_cap_ns : int;  (* exponential backoff cap (before jitter) *)
+  backoff_ns : int;
+      (* retry backoff base; attempt k waits base * 2^(k-1), capped at
+         [backoff_cap_factor] * base *)
   hedge : bool;  (* retries go to the least-loaded enclave, not home *)
   shed_depth : int;  (* admission control: shed when a queue is this deep *)
-  shed_refaults : int;
-      (* shed when cross-enclave refaults within the current window reach
-         this count — the EPC-pressure trigger; 0 = off *)
 }
 
 let default_config =
@@ -91,8 +87,6 @@ let default_config =
     mix = Workload.default_mix;
     wasm_factor = 2.5;
     ns_per_work = 60.;
-    trace_requests = true;
-    sample_every_ns = 1_000_000;
     retain_requests = true;
     window_ns = 50_000_000;
     slo = None;
@@ -100,11 +94,17 @@ let default_config =
     deadline_ns = 0;
     retries = 2;
     backoff_ns = 100_000;
-    backoff_cap_ns = 5_000_000;
     hedge = false;
     shed_depth = 0;
-    shed_refaults = 0;
   }
+
+(* Exponential retry backoff stops growing at this multiple of the base
+   (before jitter): 5 ms at the default 100 us base. *)
+let backoff_cap_factor = 50
+
+(* Period of the virtual-time metrics sampler (per-enclave queue depth,
+   EPC residency and completed requests as Perfetto counter tracks). *)
+let sample_every_ns = 1_000_000
 
 (* Failover orchestration costs (virtual ns, pinned): the host-side work
    of detecting an aborted enclave, EREMOVE-ing its pages, relaunching a
@@ -166,7 +166,7 @@ let breakdown_total b =
    loop's completion counter is total over outcomes. *)
 type outcome =
   | Served
-  | Shed  (* fast-failed at admission (queue depth / EPC pressure) *)
+  | Shed  (* fast-failed at admission (queue depth) *)
   | Timed_out  (* client deadline passed while queued or backing off *)
   | Failed  (* retry budget exhausted after enclave faults *)
 
@@ -295,13 +295,10 @@ let response_bytes (r : Db.result) =
     (fun acc row -> List.fold_left (fun a v -> a + value_bytes v) acc row)
     0 r.Db.rows
 
-(* Exact percentile (nearest-rank) over the sorted latency array. *)
+(* Exact nearest-rank percentile over a sorted array. *)
 let percentile sorted q =
   let n = Array.length sorted in
-  if n = 0 then 0
-  else
-    let rank = int_of_float (Float.ceil (q *. float_of_int n)) in
-    sorted.(max 0 (min (n - 1) (rank - 1)))
+  if n = 0 then 0 else sorted.(Twine_obs.Sketch.rank n q - 1)
 
 (* Request spans render on one Perfetto track per enclave. *)
 let request_track eid = 100 + eid
@@ -512,9 +509,6 @@ let run ?(prepare = fun (_ : Machine.t) -> ()) (cfg : config) =
     in
     go ()
   in
-  let latencies = if retain then Array.make (max 1 n) 0 else [||] in
-  let lat_sum = ref 0 in
-  let lat_max = ref 0 in
   let completed = ref 0 in
   let pending = ref 0 in
   let batches = ref 0 in
@@ -625,11 +619,11 @@ let run ?(prepare = fun (_ : Machine.t) -> ()) (cfg : config) =
       }
     in
     (match tracer with
-    | Some tr when cfg.trace_requests ->
+    | Some tr ->
         Twine_obs.Trace.begin_span tr ~cat:"serve"
           ~args:[ ("tid", request_track w.eid); ("rid", rid) ]
           r.kind
-    | _ -> ());
+    | None -> ());
     cur := Some r;
     let sql = sql_of_req req in
     Enclave.copy_in e ~label:"serve.req" (String.length sql);
@@ -659,18 +653,18 @@ let run ?(prepare = fun (_ : Machine.t) -> ()) (cfg : config) =
           (fun (name, _) ns ->
             if ns > 0 then begin
               (match tracer with
-              | Some tr when cfg.trace_requests ->
+              | Some tr ->
                   Twine_obs.Trace.begin_span tr ~cat:"sqldb"
                     ~args:[ ("tid", request_track w.eid); ("rid", rid) ]
                     ("sql." ^ name)
-              | _ -> ());
+              | None -> ());
               charge_ns "serve.exec" ns;
               match tracer with
-              | Some tr when cfg.trace_requests ->
+              | Some tr ->
                   Twine_obs.Trace.end_span tr ~cat:"sqldb"
                     ~args:[ ("tid", request_track w.eid) ]
                     ("sql." ^ name)
-              | _ -> ()
+              | None -> ()
             end)
           shares slices);
     let pager_units = !(w.pager_work) in
@@ -684,11 +678,11 @@ let run ?(prepare = fun (_ : Machine.t) -> ()) (cfg : config) =
     r.finish_ns <- Machine.now_ns machine;
     r.interference <- List.sort compare r.interference;
     (match tracer with
-    | Some tr when cfg.trace_requests ->
+    | Some tr ->
         Twine_obs.Trace.end_span tr ~cat:"serve"
           ~args:[ ("tid", request_track w.eid) ]
           r.kind
-    | _ -> ());
+    | None -> ());
     let lat = latency_ns r in
     (* Query-stats registry: recorded on the shared serving path, so
        retained and --stream runs accumulate identical registries. *)
@@ -696,16 +690,11 @@ let run ?(prepare = fun (_ : Machine.t) -> ()) (cfg : config) =
       ~fingerprint:(Sqlstat.fingerprint sql)
       ~rows:(List.length res.Db.rows) ~work ~reads:(pr1 - pr0)
       ~writes:(pw1 - pw0) ~exec_ns ~pager_ns ~latency_ns:lat ();
-    if retain then latencies.(!served_count) <- lat;
-    lat_sum := !lat_sum + lat;
-    if lat > !lat_max then lat_max := lat;
     incr served_count;
     finalize st r;
-    Twine_obs.Obs.observe ~exemplar:rid obs "serve.latency_ns" lat;
-    if cfg.trace_requests then
-      Twine_obs.Obs.emit obs ~cat:"serve"
-        ~args:[ ("rid", rid); ("enclave", w.eid); ("lat_ns", lat) ]
-        "serve.req";
+    Twine_obs.Obs.emit obs ~cat:"serve"
+      ~args:[ ("rid", rid); ("enclave", w.eid); ("lat_ns", lat) ]
+      "serve.req";
     r
   in
   (* Fast-fail completion (no service): shed at admission, client
@@ -745,10 +734,9 @@ let run ?(prepare = fun (_ : Machine.t) -> ()) (cfg : config) =
         incr failed_count;
         Twine_obs.Obs.inc obs "serve.failed"
     | Served -> ());
-    if cfg.trace_requests then
-      Twine_obs.Obs.emit obs ~cat:"serve"
-        ~args:[ ("rid", rid); ("enclave", eid); ("lat_ns", latency_ns r) ]
-        ("serve." ^ outcome_name outcome)
+    Twine_obs.Obs.emit obs ~cat:"serve"
+      ~args:[ ("rid", rid); ("enclave", eid); ("lat_ns", latency_ns r) ]
+      ("serve." ^ outcome_name outcome)
   in
   let enqueue slot item st =
     let w = workers.(slot) in
@@ -765,22 +753,6 @@ let run ?(prepare = fun (_ : Machine.t) -> ()) (cfg : config) =
       (fun i w -> if w.live < workers.(!best).live then best := i)
       workers;
     !best
-  in
-  (* EPC-pressure shedding: cross-enclave refaults accumulated within
-     the current tumbling window, so the trigger resets as the window
-     turns — a rate, not a lifetime total. *)
-  let refault_win = ref (-1) in
-  let refault_base = ref 0 in
-  let epc_pressure now =
-    cfg.shed_refaults > 0
-    && begin
-         let wi = (now - t0) / window_ns in
-         if wi <> !refault_win then begin
-           refault_win := wi;
-           refault_base := Epc.cross_refaults epc
-         end;
-         Epc.cross_refaults epc - !refault_base >= cfg.shed_refaults
-       end
   in
   (* -- batch-failure handling: salvage, blame, requeue, relaunch -- *)
   let salvage_to_failover () =
@@ -821,7 +793,9 @@ let run ?(prepare = fun (_ : Machine.t) -> ()) (cfg : config) =
                        (up to +25%), identical across replays and modes *)
                     let exp = min 20 (st.s_requeues - 1) in
                     let b =
-                      min cfg.backoff_cap_ns (cfg.backoff_ns * (1 lsl exp))
+                      min
+                        (backoff_cap_factor * cfg.backoff_ns)
+                        (cfg.backoff_ns * (1 lsl exp))
                     in
                     let j =
                       if b >= 4 then Twine_crypto.Drbg.int_below jitter (b / 4)
@@ -890,10 +864,7 @@ let run ?(prepare = fun (_ : Machine.t) -> ()) (cfg : config) =
     Twine_sim.Eventq.drain_until q ~now
       (fun ~at (rid, enc, req) ->
         (* admission control: shed before spending anything on it *)
-        if
-          (cfg.shed_depth > 0 && workers.(enc).live >= cfg.shed_depth)
-          || epc_pressure now
-        then
+        if cfg.shed_depth > 0 && workers.(enc).live >= cfg.shed_depth then
           fail_fast Shed ~eid:workers.(enc).eid ~attempts:0 ~retry_wait:0
             None rid at req
         else begin
@@ -944,26 +915,23 @@ let run ?(prepare = fun (_ : Machine.t) -> ()) (cfg : config) =
   (* -- virtual-time metrics sampler: per-enclave counter time-series
      (sample-and-hold: one sample per crossed boundary batch) -- *)
   let samples = ref 0 in
-  let next_sample = ref (t0 + cfg.sample_every_ns) in
+  let next_sample = ref (t0 + sample_every_ns) in
   let maybe_sample () =
-    if cfg.sample_every_ns > 0 then begin
-      let now = Machine.now_ns machine in
-      if now >= !next_sample then begin
-        incr samples;
-        (match tracer with
-        | Some _ ->
-            let per f = Array.to_list (Array.map f workers) in
-            Twine_obs.Obs.emit_counter obs ~cat:"serve" "serve.queue_depth"
-              (per (fun w -> (Printf.sprintf "e%d" w.eid, w.live)));
-            Twine_obs.Obs.emit_counter obs ~cat:"serve" "serve.epc_resident"
-              (per (fun w ->
-                   (Printf.sprintf "e%d" w.eid, Epc.resident_of epc w.eid)));
-            Twine_obs.Obs.emit_counter obs ~cat:"serve" "serve.completed"
-              [ ("requests", !completed) ]
-        | None -> ());
-        let period = cfg.sample_every_ns in
-        next_sample := now - ((now - t0) mod period) + period
-      end
+    let now = Machine.now_ns machine in
+    if now >= !next_sample then begin
+      incr samples;
+      (match tracer with
+      | Some _ ->
+          let per f = Array.to_list (Array.map f workers) in
+          Twine_obs.Obs.emit_counter obs ~cat:"serve" "serve.queue_depth"
+            (per (fun w -> (Printf.sprintf "e%d" w.eid, w.live)));
+          Twine_obs.Obs.emit_counter obs ~cat:"serve" "serve.epc_resident"
+            (per (fun w ->
+                 (Printf.sprintf "e%d" w.eid, Epc.resident_of epc w.eid)));
+          Twine_obs.Obs.emit_counter obs ~cat:"serve" "serve.completed"
+            [ ("requests", !completed) ]
+      | None -> ());
+      next_sample := now - ((now - t0) mod sample_every_ns) + sample_every_ns
     end
   in
   (* fold completed requests into the windowed series only once their
@@ -1035,14 +1003,12 @@ let run ?(prepare = fun (_ : Machine.t) -> ()) (cfg : config) =
           incr batches;
           Twine_obs.Obs.observe obs "serve.batch_fill" (List.length batch);
           let batch_ctx =
-            if cfg.trace_requests then
-              match (batch, List.rev batch) with
-              | (first, _, _) :: _, (last, _, _) :: _ ->
-                  Some
-                    [ ("enclave", w.eid); ("size", List.length batch);
-                      ("rid_first", first); ("rid_last", last) ]
-              | _ -> None
-            else None
+            match (batch, List.rev batch) with
+            | (first, _, _) :: _, (last, _, _) :: _ ->
+                Some
+                  [ ("enclave", w.eid); ("size", List.length batch);
+                    ("rid_first", first); ("rid_last", last) ]
+            | _ -> None
           in
           in_batch := true;
           let done_rev = ref [] in
@@ -1101,8 +1067,6 @@ let run ?(prepare = fun (_ : Machine.t) -> ()) (cfg : config) =
   let slo_eval =
     Option.map (fun spec -> (spec, Twine_obs.Slo.evaluate spec windows)) cfg.slo
   in
-  let sorted = Array.sub latencies 0 (if retain then !served_count else 0) in
-  Array.sort compare sorted;
   let recovery_sorted =
     let a = Array.of_list !recovery_durations in
     Array.sort compare a;
@@ -1121,10 +1085,26 @@ let run ?(prepare = fun (_ : Machine.t) -> ()) (cfg : config) =
   in
   let booked = (Twine_obs.Ledger.audit ledger).Twine_obs.Ledger.booked_ns in
   let interference_by_evictor = List.sort compare !interference_acc in
+  (* retained mode: the served requests in (latency, rid) order give
+     the exact percentiles, and the ones at and just below the p99 rank
+     are its exemplars *)
+  let served_sorted =
+    Array.of_seq
+      (Seq.filter (fun r -> r.outcome = Served) (Array.to_seq requests_log))
+  in
+  Array.sort
+    (fun a b ->
+      match compare (latency_ns a) (latency_ns b) with
+      | 0 -> compare a.rid b.rid
+      | c -> c)
+    served_sorted;
+  let sorted = Array.map latency_ns served_sorted in
   let p99_exemplar_rids =
-    match Twine_obs.Obs.quantile_exemplars obs "serve.latency_ns" 0.99 with
-    | Some (_, rids) -> rids
-    | None -> []
+    match Array.length served_sorted with
+    | 0 -> []
+    | k ->
+        let r = Twine_obs.Sketch.rank k 0.99 in
+        List.init (min 8 r) (fun j -> served_sorted.(r - 1 - j).rid)
   in
   let stats =
     {
@@ -1136,13 +1116,16 @@ let run ?(prepare = fun (_ : Machine.t) -> ()) (cfg : config) =
       throughput_rps =
         (if elapsed_ns = 0 then 0.
          else float_of_int n /. (float_of_int elapsed_ns /. 1e9));
-      mean_ns = (if !served_count = 0 then 0 else !lat_sum / !served_count);
+      mean_ns =
+        (match Twine_obs.Sketch.count sketch with
+        | 0 -> 0
+        | c -> Twine_obs.Sketch.sum sketch / c);
       (* retained mode: exact nearest-rank percentiles; streaming mode:
          the sketch estimates (within Sketch.alpha), since no latency
          array exists to sort *)
       p50_ns = (if retain then percentile sorted 0.50 else sketch_p50_ns);
       p99_ns = (if retain then percentile sorted 0.99 else sketch_p99_ns);
-      max_ns = !lat_max;
+      max_ns = Twine_obs.Sketch.vmax sketch;
       batches = !batches;
       ecalls;
       ocalls;

@@ -46,12 +46,6 @@ type config = {
   wasm_factor : float;
       (** pinned Wasm slowdown (never wall-clock calibrated here) *)
   ns_per_work : float;
-  trace_requests : bool;
-      (** emit request spans/instants when a recorder is attached *)
-  sample_every_ns : int;
-      (** virtual-time metrics sampling period (queue depth, per-enclave
-          EPC residency, completed requests as Perfetto counter tracks);
-          0 disables the sampler *)
   retain_requests : bool;
       (** keep the per-request log ({!stats.requests_log}, exact
           percentiles, {!blame}). [false] is the [--stream] mode: the
@@ -76,9 +70,9 @@ type config = {
       (** requeues allowed per request after enclave faults before it
           completes as [Failed] *)
   backoff_ns : int;
-      (** retry backoff base: requeue k waits [base * 2^(k-1)] (plus
-          deterministic DRBG jitter up to +25%); 0 retries immediately *)
-  backoff_cap_ns : int;  (** exponential backoff cap (before jitter) *)
+      (** retry backoff base: requeue k waits [base * 2^(k-1)], capped at
+          50 x base, plus deterministic DRBG jitter up to +25%; 0
+          retries immediately *)
   hedge : bool;
       (** hedged retries: a requeued request goes to the least-loaded
           enclave instead of back to its home queue (every enclave holds
@@ -86,18 +80,16 @@ type config = {
   shed_depth : int;
       (** admission control: an arrival finding its enclave's live queue
           this deep completes as [Shed] without being enqueued; 0
-          disables depth shedding *)
-  shed_refaults : int;
-      (** EPC-pressure shedding: arrivals are shed while cross-enclave
-          refaults within the current tumbling window have reached this
-          count; 0 disables *)
+          disables shedding *)
 }
 
 val default_config : config
 (** 100k requests, 8 enclaves, batch 16, 768-page EPC, factor 2.5,
-    1 ms virtual sampling, retention on, 50 ms windows, no SLO, no
-    chaos, no deadlines/shedding, 2 retries with 100 us base backoff
-    capped at 5 ms. *)
+    retention on, 50 ms windows, no SLO, no chaos, no
+    deadlines/shedding, 2 retries with 100 us base backoff (capped at
+    5 ms). A run always samples queue depth, per-enclave EPC residency
+    and completed requests every 1 ms of virtual time, and emits
+    request spans whenever a recorder is attached. *)
 
 val shape_of : config -> Workload.shape
 
@@ -122,7 +114,7 @@ val breakdown_total : breakdown -> int
     [Served] counts toward goodput. *)
 type outcome =
   | Served
-  | Shed  (** fast-failed at admission (queue depth / EPC pressure) *)
+  | Shed  (** fast-failed at admission (queue depth) *)
   | Timed_out  (** client deadline passed while queued or backing off *)
   | Failed  (** retry budget exhausted after enclave faults *)
 
@@ -208,7 +200,9 @@ type stats = {
   interference_by_evictor : (int * int) list;
       (** (enclave, refaults its faults inflicted on others) *)
   p99_exemplar_rids : int list;
-      (** request ids recorded in the latency histogram's p99 bucket *)
+      (** up to 8 served rids at and just below the exact p99 rank, in
+          (latency, rid) order, the p99 request first; [[]] when the run
+          streamed *)
   sampler_samples : int;
   queue_depth_hwm : int;  (** deepest any enclave's queue ever got *)
   queue_depth_hwm_by_enclave : (int * int) list;

@@ -29,7 +29,6 @@ let fingerprint sql =
 type entry = {
   sq_fingerprint : string;
   sq_label : string;  (* first-seen label, e.g. the workload kind *)
-  mutable sq_count : int;
   mutable sq_rows : int;
   mutable sq_work : int;
   mutable sq_reads : int;
@@ -48,9 +47,9 @@ let find_or_add t ~fingerprint ~label =
   | Some e -> e
   | None ->
       let e =
-        { sq_fingerprint = fingerprint; sq_label = label; sq_count = 0;
-          sq_rows = 0; sq_work = 0; sq_reads = 0; sq_writes = 0;
-          sq_exec_ns = 0; sq_pager_ns = 0;
+        { sq_fingerprint = fingerprint; sq_label = label; sq_rows = 0;
+          sq_work = 0; sq_reads = 0; sq_writes = 0; sq_exec_ns = 0;
+          sq_pager_ns = 0;
           sq_latency = Twine_obs.Sketch.create () }
       in
       Hashtbl.replace t.entries fingerprint e;
@@ -59,7 +58,6 @@ let find_or_add t ~fingerprint ~label =
 let record t ?(label = "") ~fingerprint ~rows ~work ~reads ~writes ~exec_ns
     ~pager_ns ~latency_ns () =
   let e = find_or_add t ~fingerprint ~label in
-  e.sq_count <- e.sq_count + 1;
   e.sq_rows <- e.sq_rows + rows;
   e.sq_work <- e.sq_work + work;
   e.sq_reads <- e.sq_reads + reads;
@@ -85,7 +83,6 @@ let merge a b =
             Hashtbl.replace out.entries e.sq_fingerprint
               { e with sq_latency = Twine_obs.Sketch.merge e.sq_latency (Twine_obs.Sketch.create ()) }
         | Some acc ->
-            acc.sq_count <- acc.sq_count + e.sq_count;
             acc.sq_rows <- acc.sq_rows + e.sq_rows;
             acc.sq_work <- acc.sq_work + e.sq_work;
             acc.sq_reads <- acc.sq_reads + e.sq_reads;
@@ -99,6 +96,8 @@ let merge a b =
   fold b;
   out
 
+let count e = Twine_obs.Sketch.count e.sq_latency
+
 let quantile_ns e q =
   Option.value (Twine_obs.Sketch.quantile e.sq_latency q) ~default:0
 
@@ -108,7 +107,7 @@ let entry_to_json e =
     [
       ("fingerprint", Twine_obs.Json.Str e.sq_fingerprint);
       ("label", Twine_obs.Json.Str e.sq_label);
-      ("count", num e.sq_count);
+      ("count", num (count e));
       ("rows", num e.sq_rows);
       ("work", num e.sq_work);
       ("page_reads", num e.sq_reads);

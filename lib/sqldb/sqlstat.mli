@@ -15,7 +15,6 @@ val fingerprint : string -> string
 type entry = {
   sq_fingerprint : string;
   sq_label : string;  (** first-seen label, e.g. the workload kind *)
-  mutable sq_count : int;
   mutable sq_rows : int;
   mutable sq_work : int;
   mutable sq_reads : int;
@@ -39,6 +38,9 @@ val entries : t -> entry list
 
 val merge : t -> t -> t
 (** Pure; sketches merge bit-identically, counters add. *)
+
+val count : entry -> int
+(** Executions recorded: the latency sketch's count. *)
 
 val quantile_ns : entry -> float -> int
 (** Latency quantile estimate from the sketch (0 when empty). *)

@@ -66,27 +66,23 @@ let test_quantile_edges () =
     (Invalid_argument "Obs.quantile: q outside [0,1]") (fun () ->
       ignore (Obs.quantile obs "one" 1.5))
 
-let test_quantile_interpolation () =
-  (* one sample at every value of the binade [512, 1024): the bucket is
-     uniformly full, so the interpolated nearest-rank estimate must hit
-     the true median (the 256th of 512 sits mid-slice at 767), where
-     the old upper-bound answer was 1023 — biased a near-full bucket
-     width high *)
+let test_quantile_within_alpha () =
+  (* one sample at every value of [512, 1024): the nearest-rank order
+     statistic of rank r is 511 + r, and every estimate must sit within
+     the sketch's relative-error bound of it *)
   let obs = Obs.create () in
   for v = 512 to 1023 do Obs.observe obs "u" v done;
-  (match Obs.quantile obs "u" 0.5 with
-  | None -> Alcotest.fail "histogram missing"
-  | Some v ->
-      Alcotest.(check bool)
-        (Printf.sprintf "uniform bucket p50 interpolates (got %d, want ~767)" v)
-        true (abs (v - 767) <= 1));
-  (* a quarter of the way in, same idea *)
-  match Obs.quantile obs "u" 0.25 with
-  | None -> Alcotest.fail "histogram missing"
-  | Some v ->
-      Alcotest.(check bool)
-        (Printf.sprintf "uniform bucket p25 interpolates (got %d, want ~639)" v)
-        true (abs (v - 639) <= 1)
+  List.iter
+    (fun q ->
+      let exact = 511 + Sketch.rank 512 q in
+      match Obs.quantile obs "u" q with
+      | None -> Alcotest.fail "histogram missing"
+      | Some v ->
+          Alcotest.(check bool)
+            (Printf.sprintf "q=%.2f: got %d, exact %d" q v exact)
+            true
+            (float_of_int (abs (v - exact)) <= Sketch.alpha *. float_of_int exact))
+    [ 0.0; 0.25; 0.5; 0.75; 0.99; 1.0 ]
 
 let test_quantile_rank_rounding () =
   (* 0.99 *. 100. = 99.00000000000001: the nearest-rank index must stay
@@ -102,27 +98,6 @@ let test_quantile_rank_rounding () =
         true (v < 100));
   Alcotest.(check (option int)) "p100 is the outlier" (Some 1_000_000)
     (Obs.quantile obs "lat" 1.0)
-
-let test_exemplars () =
-  let obs = Obs.create () in
-  (* samples without exemplars still work *)
-  Obs.observe obs "h" 50;
-  (match Obs.quantile_exemplars obs "h" 0.5 with
-  | Some (_, ids) -> Alcotest.(check (list int)) "no ids recorded" [] ids
-  | None -> Alcotest.fail "histogram missing");
-  (* ids ride with their sample's bucket, newest first, capped at 8 *)
-  for i = 1 to 12 do Obs.observe ~exemplar:i obs "h" (40 + i) done;
-  (match Obs.quantile_exemplars obs "h" 0.99 with
-  | None -> Alcotest.fail "histogram missing"
-  | Some (est, ids) ->
-      Alcotest.(check bool) "estimate in the tail bucket" true (est >= 52);
-      Alcotest.(check (list int)) "newest first, capped"
-        [ 12; 11; 10; 9; 8; 7; 6; 5 ] ids);
-  (* a different bucket keeps its own exemplars *)
-  Obs.observe ~exemplar:99 obs "h" 1_000_000;
-  match Obs.quantile_exemplars obs "h" 1.0 with
-  | Some (_, ids) -> Alcotest.(check (list int)) "outlier bucket" [ 99 ] ids
-  | None -> Alcotest.fail "histogram missing"
 
 (* Spans on a hand-cranked virtual clock: the parent's self time must
    exclude the child's. *)
@@ -356,11 +331,10 @@ let () =
           Alcotest.test_case "counters" `Quick test_counters;
           Alcotest.test_case "histograms" `Quick test_histograms;
           Alcotest.test_case "quantile edge cases" `Quick test_quantile_edges;
-          Alcotest.test_case "quantile interpolation" `Quick
-            test_quantile_interpolation;
+          Alcotest.test_case "quantile within alpha" `Quick
+            test_quantile_within_alpha;
           Alcotest.test_case "quantile rank rounding" `Quick
             test_quantile_rank_rounding;
-          Alcotest.test_case "exemplars" `Quick test_exemplars;
           Alcotest.test_case "span nesting" `Quick test_span_nesting;
           Alcotest.test_case "span exception safety" `Quick test_span_exception_safe;
         ] );

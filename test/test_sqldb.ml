@@ -770,10 +770,10 @@ let test_sqlstat_registry () =
   | [ pt; kv ] ->
       Alcotest.(check string) "sorted by fingerprint" "SELECT a FROM t WHERE a = ?"
         pt.Sqlstat.sq_fingerprint;
-      Alcotest.(check int) "count" 2 pt.Sqlstat.sq_count;
+      Alcotest.(check int) "count" 2 (Sqlstat.count pt);
       Alcotest.(check int) "rows" 2 pt.Sqlstat.sq_rows;
       Alcotest.(check int) "exec_ns" 1200 pt.Sqlstat.sq_exec_ns;
-      Alcotest.(check int) "kv count" 1 kv.Sqlstat.sq_count;
+      Alcotest.(check int) "kv count" 1 (Sqlstat.count kv);
       Alcotest.(check string) "label" "kv" kv.Sqlstat.sq_label
   | l -> Alcotest.failf "expected 2 entries, got %d" (List.length l));
   (* merge is pure and commutative; JSON is canonical *)
@@ -786,7 +786,7 @@ let test_sqlstat_registry () =
     (Twine_obs.Json.to_string (Sqlstat.to_json m2));
   (match Sqlstat.entries m1 with
   | [ pt; _ ] ->
-      Alcotest.(check int) "merged count" 3 pt.Sqlstat.sq_count;
+      Alcotest.(check int) "merged count" 3 (Sqlstat.count pt);
       Alcotest.(check int) "merged rows" 7 pt.Sqlstat.sq_rows;
       Alcotest.(check bool) "p50 within inserted range" true
         (let p = Sqlstat.quantile_ns pt 0.5 in
@@ -795,7 +795,7 @@ let test_sqlstat_registry () =
   (* the sources were not mutated by merge *)
   Alcotest.(check int) "source untouched" 2
     (match Sqlstat.entries reg with
-    | [ pt; _ ] -> pt.Sqlstat.sq_count
+    | [ pt; _ ] -> Sqlstat.count pt
     | _ -> -1)
 
 let test_slice_ns () =
