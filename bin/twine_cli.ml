@@ -208,6 +208,7 @@ let run_cmd =
 (* --- serve --- *)
 
 let serve_cmd =
+  let default = Twine_serve.Serve.default_config in
   let enclaves =
     Arg.(value & opt int 8 & info [ "enclaves" ] ~docv:"N"
            ~doc:"Fleet size: enclaves sharing one machine (and one EPC).")
@@ -256,10 +257,9 @@ let serve_cmd =
                  completed requests) named for Perfetto's track view.")
   in
   let mean_gap_ns =
-    Arg.(value & opt (some int) None & info [ "mean-gap-ns" ] ~docv:"NS"
+    Arg.(value & opt int default.mean_gap_ns & info [ "mean-gap-ns" ] ~docv:"NS"
            ~doc:"Mean client inter-arrival gap in virtual nanoseconds \
-                 (open loop; 0 = every request arrives at time zero). \
-                 Default 4000.")
+                 (open loop; 0 = every request arrives at time zero).")
   in
   let mix =
     Arg.(value & opt (some string) None & info [ "mix" ] ~docv:"KV:SQL:RANGE"
@@ -307,25 +307,20 @@ let serve_cmd =
                  ns after arrival completes as timed out (0 = off).")
   in
   let retries =
-    Arg.(value & opt (some int) None & info [ "retries" ] ~docv:"N"
+    Arg.(value & opt int default.retries & info [ "retries" ] ~docv:"N"
            ~doc:"Requeues allowed per request after enclave faults before \
-                 it fails permanently (default 2).")
+                 it fails permanently.")
   in
   let backoff =
-    Arg.(value & opt (some int) None & info [ "backoff" ] ~docv:"NS"
+    Arg.(value & opt int default.backoff_ns & info [ "backoff" ] ~docv:"NS"
            ~doc:"Retry backoff base in virtual ns: requeue k waits \
                  base*2^(k-1) plus deterministic jitter, capped at 50x \
-                 base (default 100000).")
+                 base.")
   in
   let shed_depth =
     Arg.(value & opt int 0 & info [ "shed-depth" ] ~docv:"N"
            ~doc:"Admission control: shed an arrival whose enclave queue \
                  already holds $(docv) live requests (0 = off).")
-  in
-  let hedge =
-    Arg.(value & flag & info [ "hedge" ]
-           ~doc:"Hedged retries: requeue onto the least-loaded enclave \
-                 instead of the request's home queue.")
   in
   let sql_stats =
     Arg.(value & opt (some string) None & info [ "sql-stats" ] ~docv:"FILE"
@@ -338,14 +333,14 @@ let serve_cmd =
   in
   let run enclaves requests batch seed epc_kib trace ledger_out blame top
       timeline mean_gap_ns mix stream slo slo_out chaos deadline_ns retries
-      backoff shed_depth hedge sql_stats =
+      backoff shed_depth sql_stats =
     if enclaves <= 0 || batch <= 0 || requests < 0 then begin
       prerr_endline "twine serve: --enclaves and --batch must be positive, --requests non-negative";
       exit 2
     end;
     let mix =
       match mix with
-      | None -> Twine_serve.Serve.default_config.Twine_serve.Serve.mix
+      | None -> default.mix
       | Some s -> (
           match String.split_on_char ':' s with
           | [ a; b; c ] -> (
@@ -392,19 +387,22 @@ let serve_cmd =
       prerr_endline "twine serve: --shed-depth must be non-negative";
       exit 2
     end;
-    (match retries with
-    | Some r when r < 0 ->
-        prerr_endline "twine serve: --retries must be non-negative";
-        exit 2
-    | _ -> ());
-    (match backoff with
-    | Some b when b < 0 ->
-        prerr_endline "twine serve: --backoff must be non-negative";
-        exit 2
-    | _ -> ());
+    if retries < 0 then begin
+      prerr_endline "twine serve: --retries must be non-negative";
+      exit 2
+    end;
+    if backoff < 0 then begin
+      prerr_endline "twine serve: --backoff must be non-negative";
+      exit 2
+    end;
+    if mean_gap_ns < 0 then begin
+      Printf.eprintf "twine serve: --mean-gap-ns %d: must be non-negative\n"
+        mean_gap_ns;
+      exit 2
+    end;
     let cfg =
       {
-        Twine_serve.Serve.default_config with
+        default with
         Twine_serve.Serve.enclaves;
         requests;
         batch;
@@ -412,30 +410,16 @@ let serve_cmd =
         epc_bytes =
           (match epc_kib with
           | Some k -> k * 1024
-          | None -> Twine_serve.Serve.default_config.Twine_serve.Serve.epc_bytes);
-        mean_gap_ns =
-          (match mean_gap_ns with
-          | Some g when g >= 0 -> g
-          | Some g ->
-              Printf.eprintf "twine serve: --mean-gap-ns %d: must be non-negative\n" g;
-              exit 2
-          | None -> Twine_serve.Serve.default_config.Twine_serve.Serve.mean_gap_ns);
+          | None -> default.epc_bytes);
+        mean_gap_ns;
         mix;
         retain_requests = not stream;
         slo;
         chaos;
         deadline_ns;
-        retries =
-          (match retries with
-          | Some r -> r
-          | None -> Twine_serve.Serve.default_config.Twine_serve.Serve.retries);
-        backoff_ns =
-          (match backoff with
-          | Some b -> b
-          | None ->
-              Twine_serve.Serve.default_config.Twine_serve.Serve.backoff_ns);
+        retries;
+        backoff_ns = backoff;
         shed_depth;
-        hedge;
       }
     in
     if top <= 0 then begin
@@ -545,7 +529,7 @@ let serve_cmd =
              survives it — crashed enclaves are destroyed and relaunched \
              with their durable state recovered, in-flight batches retry \
              with capped exponential backoff ($(b,--retries), \
-             $(b,--backoff), $(b,--hedge)), $(b,--deadline-ns) expires \
+             $(b,--backoff)), $(b,--deadline-ns) expires \
              waiting clients and $(b,--shed-depth) sheds load at \
              admission. Exit codes: 0 success, 1 conservation-audit or \
              attribution-residue failure, 2 bad arguments or I/O error \
@@ -553,7 +537,7 @@ let serve_cmd =
     Term.(const run $ enclaves $ requests $ batch $ seed $ epc_kib $ trace
           $ ledger_out $ blame $ top $ timeline $ mean_gap_ns $ mix $ stream
           $ slo $ slo_out $ chaos $ deadline_ns $ retries $ backoff
-          $ shed_depth $ hedge $ sql_stats)
+          $ shed_depth $ sql_stats)
 
 (* --- sql --- *)
 

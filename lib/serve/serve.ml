@@ -53,7 +53,6 @@ type config = {
   mix : Workload.mix;
   wasm_factor : float;
       (* pinned, never wall-clock calibrated: reproducibility first *)
-  ns_per_work : float;
   retain_requests : bool;
       (* keep the per-request log (blame, exact percentiles); --stream
          turns it off and the run holds O(windows + sketch) memory *)
@@ -68,7 +67,6 @@ type config = {
   backoff_ns : int;
       (* retry backoff base; attempt k waits base * 2^(k-1), capped at
          [backoff_cap_factor] * base *)
-  hedge : bool;  (* retries go to the least-loaded enclave, not home *)
   shed_depth : int;  (* admission control: shed when a queue is this deep *)
 }
 
@@ -86,7 +84,6 @@ let default_config =
     epc_bytes = 768 * 4096;
     mix = Workload.default_mix;
     wasm_factor = 2.5;
-    ns_per_work = 60.;
     retain_requests = true;
     window_ns = 50_000_000;
     slo = None;
@@ -94,9 +91,12 @@ let default_config =
     deadline_ns = 0;
     retries = 2;
     backoff_ns = 100_000;
-    hedge = false;
     shed_depth = 0;
   }
+
+(* Virtual ns per abstract SQL work unit, before the Wasm factor (the
+   same rate as {!Twine.Bench_db.create}'s default). *)
+let ns_per_work = 60.
 
 (* Exponential retry backoff stops growing at this multiple of the base
    (before jitter): 5 ms at the default 100 us base. *)
@@ -163,7 +163,7 @@ let breakdown_total b =
 (* How a request left the system. [Served] is the only outcome that
    counts toward goodput; the others are first-class records too, so
    every admitted rid appears exactly once in the request log and the
-   loop's completion counter is total over outcomes. *)
+   loop's completion count is the sum of the outcome counts. *)
 type outcome =
   | Served
   | Shed  (* fast-failed at admission (queue depth) *)
@@ -178,16 +178,16 @@ let outcome_name = function
 
 type request = {
   rid : int;
-  enclave : int;
+  mutable enclave : int;
   kind : string;
   arrival_ns : int;
-  start_ns : int;
+  mutable start_ns : int;
   mutable finish_ns : int;
   mutable outcome : outcome;
   mutable attempts : int;
       (* dispatches into a batch (0 for requests shed/expired unserved) *)
   mutable retry_wait_ns : int;  (* backoff delay scheduled before retries *)
-  breakdown : breakdown;
+  mutable breakdown : breakdown;
   mutable interference : (int * int) list;
       (* evictor enclave -> cross-enclave refaults this request paid for,
          sorted by enclave id once the request completes *)
@@ -265,10 +265,24 @@ type stats = {
   machine : Machine.t;
 }
 
+(* Scheduler-side record of one admitted request, allocated once at
+   admission and alive until it completes (any outcome). Worker queues,
+   timer events and batches all hold it directly. *)
+type inflight = {
+  r : request;  (* the logged record, filled in as the request progresses *)
+  req : Workload.req;
+  slot : int;  (* home fleet slot: its queue on arrival and on every retry *)
+  mutable deadline : Twine_sim.Eventq.id option;
+  mutable state : [ `Queued | `Away | `Done ];
+      (* [`Away]: dispatched in a batch or waiting out a retry backoff.
+         A [`Done] entry left in a worker queue is the tombstone of a
+         request that timed out while queued. *)
+}
+
 type worker = {
   rt : Twine.Runtime.t;
   db : Db.t;
-  queue : (int * int * Workload.req) Queue.t;  (* (rid, arrival ns, request) *)
+  queue : inflight Queue.t;
   pager_work : int ref;
   mutable depth_hwm : int;
   mutable live : int;
@@ -381,22 +395,6 @@ let components r =
     ("crypto", r.breakdown.crypto_ns);
     ("other", r.breakdown.other_ns) ]
 
-(* Scheduler-side state for an admitted, not-yet-completed request.
-   Exists from admission to completion (any outcome), so the table is
-   bounded by the backlog, not by n. *)
-type rstate = {
-  s_home : int;  (* home fleet slot (workload's enclave choice) *)
-  mutable s_slot : int;  (* slot whose queue currently holds it *)
-  mutable s_requeues : int;  (* retries consumed *)
-  mutable s_retry_wait : int;  (* backoff delay scheduled so far *)
-  mutable s_deadline : Twine_sim.Eventq.id option;
-  mutable s_queued : bool;
-      (* physically in a worker queue; false while dispatched in a batch
-         or waiting out a backoff *)
-  s_arrival : int;  (* arrival ns (for deadline-expiry records) *)
-  s_req : Workload.req;
-}
-
 let bump_assoc l key d =
   let rec go = function
     | [] -> [ (key, d) ]
@@ -445,10 +443,9 @@ let run ?(prepare = fun (_ : Machine.t) -> ()) (cfg : config) =
     Array.map (fun w -> Epc.evictions_of epc w.eid) workers
   in
   let n = cfg.requests in
+  (* retained mode: every admitted request's record, newest first *)
+  let admitted = ref [] in
   (* -- per-request ledger slicing: the tap routes every booking -- *)
-  let req_log : request option array =
-    if retain then Array.make (max 1 n) None else [||]
-  in
   let cur : request option ref = ref None in
   let in_batch = ref false in
   let in_failover = ref false in
@@ -489,41 +486,19 @@ let run ?(prepare = fun (_ : Machine.t) -> ()) (cfg : config) =
   (match cfg.chaos with
   | Some spec -> Machine.arm_faults machine (Twine_sim.Chaos.to_plan ~t0 spec)
   | None -> ());
-  let q = Twine_sim.Eventq.create () in
   (* workload times are relative to the start of serving: rebase onto
-     the machine clock (setup already consumed virtual time). The queue
-     is fed lazily — [lookahead] holds the next not-yet-due arrival, and
-     [refill] pushes everything due by [now] in rid order, so FIFO
-     tie-breaks match the old materialise-everything-upfront schedule
-     while the queue itself stays O(backlog). *)
+     the machine clock (setup already consumed virtual time). The stream
+     is pulled lazily — [lookahead] holds the next not-yet-due arrival —
+     so the run holds O(backlog) requests, admitted in rid order. *)
   let lookahead = ref (next_arrival ()) in
-  let refill now =
-    let rec go () =
-      match !lookahead with
-      | Some a when t0 + a.Workload.at <= now ->
-          Twine_sim.Eventq.add q ~at:(t0 + a.Workload.at)
-            (a.Workload.rid, a.Workload.enclave, a.Workload.req);
-          lookahead := next_arrival ();
-          go ()
-      | _ -> ()
-    in
-    go ()
-  in
-  let completed = ref 0 in
-  let pending = ref 0 in
   let batches = ref 0 in
   let rr = ref 0 in
-  (* -- failure-domain state --
-     [timers] carries client deadlines and retry requeues on the same
-     virtual clock as arrivals; [rstate] tracks every admitted,
-     not-yet-completed request (bounded by the backlog, so --stream
-     memory stays flat). *)
+  (* [timers] carries client deadlines and retry requeues on the same
+     virtual clock as arrivals *)
   let timers :
-      [ `Deadline of int | `Requeue of int * int * Workload.req ]
-      Twine_sim.Eventq.t =
+      [ `Deadline of inflight | `Requeue of inflight ] Twine_sim.Eventq.t =
     Twine_sim.Eventq.create ()
   in
-  let rstate : (int, rstate) Hashtbl.t = Hashtbl.create 64 in
   let jitter =
     Twine_crypto.Drbg.create ~personalization:"serve-backoff" ~seed:cfg.seed ()
   in
@@ -531,6 +506,7 @@ let run ?(prepare = fun (_ : Machine.t) -> ()) (cfg : config) =
   let shed_count = ref 0 in
   let timeout_count = ref 0 in
   let failed_count = ref 0 in
+  let completed () = !served_count + !shed_count + !timeout_count + !failed_count in
   let retry_count = ref 0 in
   let failover_count = ref 0 in
   let recovery_durations = ref [] in
@@ -556,7 +532,7 @@ let run ?(prepare = fun (_ : Machine.t) -> ()) (cfg : config) =
           Hashtbl.replace last key v;
           v - prev
         in
-        [ ("completed", !completed);
+        [ ("completed", completed ());
           ("epc.fault", delta "epc.fault");
           ("epc.evict", delta "epc.evict");
           ("epc.refault.cross", delta "epc.refault.cross");
@@ -585,47 +561,59 @@ let run ?(prepare = fun (_ : Machine.t) -> ()) (cfg : config) =
   in
   let work_ns work =
     int_of_float
-      (Float.round (float_of_int work *. cfg.ns_per_work *. cfg.wasm_factor))
+      (Float.round (float_of_int work *. ns_per_work *. cfg.wasm_factor))
   in
   let charge_ns account ns = Machine.charge machine ~account "serve.sql" ns in
   let tracer = Twine_obs.Obs.tracer obs in
-  (* Common completion path for every outcome: each admitted rid
-     completes exactly once — cancel its deadline, drop its scheduler
-     state, log the record, bump the loop counter. *)
-  let finalize st r =
-    (match st.s_deadline with
+  (* The one completion path: each admitted request completes exactly
+     once, with any outcome — cancel its deadline, count it, emit it. *)
+  let complete x outcome =
+    let r = x.r in
+    (match x.deadline with
     | Some id -> Twine_sim.Eventq.cancel timers id
     | None -> ());
-    Hashtbl.remove rstate r.rid;
-    if retain then req_log.(r.rid) <- Some r;
-    incr completed
-  in
-  let serve_one w e (rid, at, req) =
-    let start = Machine.now_ns machine in
-    let st = Hashtbl.find rstate rid in
-    let r =
-      {
-        rid;
-        enclave = w.eid;
-        kind = Workload.req_name req;
-        arrival_ns = at;
-        start_ns = start;
-        finish_ns = start;
-        outcome = Served;
-        attempts = st.s_requeues + 1;
-        retry_wait_ns = st.s_retry_wait;
-        breakdown = zero_breakdown ();
-        interference = [];
-      }
+    x.state <- `Done;
+    r.outcome <- outcome;
+    incr
+      (match outcome with
+      | Served -> served_count
+      | Shed -> shed_count
+      | Timed_out -> timeout_count
+      | Failed -> failed_count);
+    let event =
+      if outcome = Served then "serve.req"
+      else begin
+        let e = "serve." ^ outcome_name outcome in
+        Twine_obs.Obs.inc obs e;
+        e
+      end
     in
+    Twine_obs.Obs.emit obs ~cat:"serve"
+      ~args:[ ("rid", r.rid); ("enclave", r.enclave); ("lat_ns", latency_ns r) ]
+      event
+  in
+  (* Completion without service: shed at admission, client deadline
+     expiry, or retry-budget exhaustion. It books nothing: a crashed
+     attempt's slices were already moved to the failover bucket. *)
+  let fail_fast x outcome ~eid =
+    let now = Machine.now_ns machine in
+    x.r.enclave <- eid;
+    x.r.start_ns <- now;
+    x.r.finish_ns <- now;
+    complete x outcome
+  in
+  let serve_one w e x =
+    let r = x.r in
+    r.enclave <- w.eid;
+    r.start_ns <- Machine.now_ns machine;
     (match tracer with
     | Some tr ->
         Twine_obs.Trace.begin_span tr ~cat:"serve"
-          ~args:[ ("tid", request_track w.eid); ("rid", rid) ]
+          ~args:[ ("tid", request_track w.eid); ("rid", r.rid) ]
           r.kind
     | None -> ());
     cur := Some r;
-    let sql = sql_of_req req in
+    let sql = sql_of_req x.req in
     Enclave.copy_in e ~label:"serve.req" (String.length sql);
     Db.reset_work w.db;
     let pr0, pw0, _ = Pager.stats (Db.pager w.db) in
@@ -655,7 +643,7 @@ let run ?(prepare = fun (_ : Machine.t) -> ()) (cfg : config) =
               (match tracer with
               | Some tr ->
                   Twine_obs.Trace.begin_span tr ~cat:"sqldb"
-                    ~args:[ ("tid", request_track w.eid); ("rid", rid) ]
+                    ~args:[ ("tid", request_track w.eid); ("rid", r.rid) ]
                     ("sql." ^ name)
               | None -> ());
               charge_ns "serve.exec" ns;
@@ -683,136 +671,114 @@ let run ?(prepare = fun (_ : Machine.t) -> ()) (cfg : config) =
           ~args:[ ("tid", request_track w.eid) ]
           r.kind
     | None -> ());
-    let lat = latency_ns r in
     (* Query-stats registry: recorded on the shared serving path, so
        retained and --stream runs accumulate identical registries. *)
     Sqlstat.record w.sqlstats ~label:r.kind
       ~fingerprint:(Sqlstat.fingerprint sql)
       ~rows:(List.length res.Db.rows) ~work ~reads:(pr1 - pr0)
-      ~writes:(pw1 - pw0) ~exec_ns ~pager_ns ~latency_ns:lat ();
-    incr served_count;
-    finalize st r;
-    Twine_obs.Obs.emit obs ~cat:"serve"
-      ~args:[ ("rid", rid); ("enclave", w.eid); ("lat_ns", lat) ]
-      "serve.req";
+      ~writes:(pw1 - pw0) ~exec_ns ~pager_ns ~latency_ns:(latency_ns r) ();
+    complete x Served;
     r
   in
-  (* Fast-fail completion (no service): shed at admission, client
-     deadline expiry, or retry-budget exhaustion. The record is real —
-     it lands in the log and the counters — but books nothing: any
-     wasted work was already moved to the failover bucket. *)
-  let fail_fast outcome ~eid ~attempts ~retry_wait st_opt rid at req =
-    let now = Machine.now_ns machine in
+  let enqueue x =
+    let w = workers.(x.slot) in
+    Queue.add x w.queue;
+    x.state <- `Queued;
+    w.live <- w.live + 1;
+    if w.live > w.depth_hwm then w.depth_hwm <- w.live
+  in
+  let admit (a : Workload.arrival) =
+    let at = t0 + a.Workload.at in
+    let w = workers.(a.Workload.enclave) in
     let r =
       {
-        rid;
-        enclave = eid;
-        kind = Workload.req_name req;
+        rid = a.Workload.rid;
+        enclave = w.eid;
+        kind = Workload.req_name a.Workload.req;
         arrival_ns = at;
-        start_ns = now;
-        finish_ns = now;
-        outcome;
-        attempts;
-        retry_wait_ns = retry_wait;
+        start_ns = at;
+        finish_ns = at;
+        outcome = Served;
+        attempts = 0;
+        retry_wait_ns = 0;
         breakdown = zero_breakdown ();
         interference = [];
       }
     in
-    (match st_opt with
-    | Some st -> finalize st r
-    | None ->
-        if retain then req_log.(rid) <- Some r;
-        incr completed);
-    (match outcome with
-    | Shed ->
-        incr shed_count;
-        Twine_obs.Obs.inc obs "serve.shed"
-    | Timed_out ->
-        incr timeout_count;
-        Twine_obs.Obs.inc obs "serve.timeout"
-    | Failed ->
-        incr failed_count;
-        Twine_obs.Obs.inc obs "serve.failed"
-    | Served -> ());
-    Twine_obs.Obs.emit obs ~cat:"serve"
-      ~args:[ ("rid", rid); ("enclave", eid); ("lat_ns", latency_ns r) ]
-      ("serve." ^ outcome_name outcome)
-  in
-  let enqueue slot item st =
-    let w = workers.(slot) in
-    Queue.add item w.queue;
-    st.s_queued <- true;
-    st.s_slot <- slot;
-    w.live <- w.live + 1;
-    if w.live > w.depth_hwm then w.depth_hwm <- w.live;
-    incr pending
-  in
-  let least_loaded () =
-    let best = ref 0 in
-    Array.iteri
-      (fun i w -> if w.live < workers.(!best).live then best := i)
-      workers;
-    !best
+    if retain then admitted := r :: !admitted;
+    let x =
+      { r; req = a.Workload.req; slot = a.Workload.enclave; deadline = None;
+        state = `Away }
+    in
+    (* admission control: shed before spending anything on it *)
+    if cfg.shed_depth > 0 && w.live >= cfg.shed_depth then
+      fail_fast x Shed ~eid:w.eid
+    else begin
+      if cfg.deadline_ns > 0 then
+        x.deadline <-
+          Some
+            (Twine_sim.Eventq.schedule timers ~at:(at + cfg.deadline_ns)
+               (`Deadline x));
+      enqueue x
+    end
   in
   (* -- batch-failure handling: salvage, blame, requeue, relaunch -- *)
   let salvage_to_failover () =
     (* The partial slices of the request that was in flight when the
        fault hit, plus the batch's accumulated overhead, are wasted
        work: move them to the failover bucket so the conservation law
-       stays exact and the failure domain owns its own cost. *)
+       stays exact and the failure domain owns its own cost. The
+       attempt is void, so the request's next one starts clean. *)
     (match !cur with
     | Some r ->
         let t = breakdown_total r.breakdown in
         attributed := !attributed - t;
         failover_ns := !failover_ns + t;
+        r.breakdown <- zero_breakdown ();
+        r.interference <- [];
         cur := None
     | None -> ());
     let oh = Hashtbl.fold (fun _ ns acc -> acc + ns) overhead 0 in
     failover_ns := !failover_ns + oh;
     Hashtbl.reset overhead
   in
-  let requeue_unfinished ~eid batch served =
-    let done_rids = List.map (fun r -> r.rid) served in
+  (* requests of a failed batch that were not served before the fault
+     retry after a backoff, or fail once their budget is spent *)
+  let requeue_unfinished ~eid batch =
     List.iter
-      (fun (rid, at, req) ->
-        if not (List.mem rid done_rids) then
-          match Hashtbl.find_opt rstate rid with
-          | None -> ()
-          | Some st ->
-              if st.s_requeues >= cfg.retries then
-                fail_fast Failed ~eid ~attempts:(st.s_requeues + 1)
-                  ~retry_wait:st.s_retry_wait (Some st) rid at req
-              else begin
-                st.s_requeues <- st.s_requeues + 1;
-                incr retry_count;
-                Twine_obs.Obs.inc obs "serve.retry";
-                let backoff =
-                  if cfg.backoff_ns <= 0 then 0
-                  else begin
-                    (* capped exponential with deterministic DRBG jitter
-                       (up to +25%), identical across replays and modes *)
-                    let exp = min 20 (st.s_requeues - 1) in
-                    let b =
-                      min
-                        (backoff_cap_factor * cfg.backoff_ns)
-                        (cfg.backoff_ns * (1 lsl exp))
-                    in
-                    let j =
-                      if b >= 4 then Twine_crypto.Drbg.int_below jitter (b / 4)
-                      else 0
-                    in
-                    b + j
-                  end
-                in
-                st.s_retry_wait <- st.s_retry_wait + backoff;
-                ignore
-                  (Twine_sim.Eventq.schedule timers
-                     ~at:(Machine.now_ns machine + backoff)
-                     (`Requeue (rid, at, req)))
-              end)
+      (fun x ->
+        let r = x.r in
+        if x.state = `Done then ()
+        else if r.attempts > cfg.retries then fail_fast x Failed ~eid
+        else begin
+          incr retry_count;
+          Twine_obs.Obs.inc obs "serve.retry";
+          let backoff =
+            if cfg.backoff_ns <= 0 then 0
+            else begin
+              (* capped exponential with deterministic DRBG jitter
+                 (up to +25%), identical across replays and modes *)
+              let exp = min 20 (r.attempts - 1) in
+              let b =
+                min
+                  (backoff_cap_factor * cfg.backoff_ns)
+                  (cfg.backoff_ns * (1 lsl exp))
+              in
+              let j =
+                if b >= 4 then Twine_crypto.Drbg.int_below jitter (b / 4) else 0
+              in
+              b + j
+            end
+          in
+          r.retry_wait_ns <- r.retry_wait_ns + backoff;
+          ignore
+            (Twine_sim.Eventq.schedule timers
+               ~at:(Machine.now_ns machine + backoff)
+               (`Requeue x))
+        end)
       batch
   in
-  let handle_batch_failure slot w batch served err =
+  let handle_batch_failure slot w batch err =
     salvage_to_failover ();
     in_failover := true;
     (match err with
@@ -856,61 +822,27 @@ let run ?(prepare = fun (_ : Machine.t) -> ()) (cfg : config) =
         recovery_durations := dur :: !recovery_durations;
         Twine_obs.Obs.observe obs "serve.failover_ns" dur);
     in_failover := false;
-    requeue_unfinished ~eid:w.eid batch served
+    requeue_unfinished ~eid:w.eid batch
   in
   let drain () =
     let now = Machine.now_ns machine in
-    refill now;
-    Twine_sim.Eventq.drain_until q ~now
-      (fun ~at (rid, enc, req) ->
-        (* admission control: shed before spending anything on it *)
-        if cfg.shed_depth > 0 && workers.(enc).live >= cfg.shed_depth then
-          fail_fast Shed ~eid:workers.(enc).eid ~attempts:0 ~retry_wait:0
-            None rid at req
-        else begin
-          let st =
-            {
-              s_home = enc;
-              s_slot = enc;
-              s_requeues = 0;
-              s_retry_wait = 0;
-              s_deadline = None;
-              s_queued = false;
-              s_arrival = at;
-              s_req = req;
-            }
-          in
-          Hashtbl.replace rstate rid st;
-          if cfg.deadline_ns > 0 then
-            st.s_deadline <-
-              Some
-                (Twine_sim.Eventq.schedule timers ~at:(at + cfg.deadline_ns)
-                   (`Deadline rid));
-          enqueue enc (rid, at, req) st
-        end);
-    Twine_sim.Eventq.drain_until timers ~now (fun ~at:_ ev ->
-        match ev with
-        | `Deadline rid -> (
-            match Hashtbl.find_opt rstate rid with
-            | None -> ()  (* completed; cancellation is belt-and-braces *)
-            | Some st ->
-                (* the client gave up: while queued (tombstone the
-                   entry) or while waiting out a retry backoff *)
-                if st.s_queued then begin
-                  let w = workers.(st.s_slot) in
-                  w.live <- w.live - 1;
-                  decr pending;
-                  st.s_queued <- false
-                end;
-                fail_fast Timed_out ~eid:workers.(st.s_slot).eid
-                  ~attempts:st.s_requeues ~retry_wait:st.s_retry_wait
-                  (Some st) rid st.s_arrival st.s_req)
-        | `Requeue (rid, at, req) -> (
-            match Hashtbl.find_opt rstate rid with
-            | None -> ()  (* timed out while backing off *)
-            | Some st ->
-                let slot = if cfg.hedge then least_loaded () else st.s_home in
-                enqueue slot (rid, at, req) st))
+    let rec arrivals () =
+      match !lookahead with
+      | Some a when t0 + a.Workload.at <= now ->
+          lookahead := next_arrival ();
+          admit a;
+          arrivals ()
+      | _ -> ()
+    in
+    arrivals ();
+    Twine_sim.Eventq.drain_until timers ~now (fun ~at:_ -> function
+      | `Deadline x ->
+          (* the client gave up: while queued (the entry stays behind as
+             a tombstone) or while waiting out a retry backoff *)
+          let w = workers.(x.slot) in
+          if x.state = `Queued then w.live <- w.live - 1;
+          fail_fast x Timed_out ~eid:w.eid
+      | `Requeue x -> if x.state <> `Done then enqueue x)
   in
   (* -- virtual-time metrics sampler: per-enclave counter time-series
      (sample-and-hold: one sample per crossed boundary batch) -- *)
@@ -929,7 +861,7 @@ let run ?(prepare = fun (_ : Machine.t) -> ()) (cfg : config) =
             (per (fun w ->
                  (Printf.sprintf "e%d" w.eid, Epc.resident_of epc w.eid)));
           Twine_obs.Obs.emit_counter obs ~cat:"serve" "serve.completed"
-            [ ("requests", !completed) ]
+            [ ("requests", completed ()) ]
       | None -> ());
       next_sample := now - ((now - t0) mod sample_every_ns) + sample_every_ns
     end
@@ -947,105 +879,90 @@ let run ?(prepare = fun (_ : Machine.t) -> ()) (cfg : config) =
           ~track:(track_of_eid r.enclave) ~latency_ns:lat ~comps ())
       served
   in
-  (* pop up to [nleft] LIVE entries, skipping tombstones of requests
-     that timed out while queued *)
+  (* pop up to [nleft] live entries, skipping tombstones; each one
+     dispatched is an attempt *)
   let rec take_batch w nleft acc =
     if nleft = 0 || w.live = 0 then List.rev acc
     else
-      let ((rid, _, _) as item) = Queue.pop w.queue in
-      match Hashtbl.find_opt rstate rid with
-      | Some st when st.s_queued ->
-          st.s_queued <- false;
-          w.live <- w.live - 1;
-          take_batch w (nleft - 1) (item :: acc)
-      | _ -> take_batch w nleft acc
+      let x = Queue.pop w.queue in
+      if x.state = `Queued then begin
+        x.state <- `Away;
+        x.r.attempts <- x.r.attempts + 1;
+        w.live <- w.live - 1;
+        take_batch w (nleft - 1) (x :: acc)
+      end
+      else take_batch w nleft acc
   in
-  while !completed < n do
+  (* round-robin: the first slot from [i] with a live queue *)
+  let k = cfg.enclaves in
+  let rec live_slot i tries =
+    if tries = 0 then None
+    else if workers.(i mod k).live > 0 then Some (i mod k)
+    else live_slot (i + 1) (tries - 1)
+  in
+  while completed () < n do
     drain ();
     maybe_sample ();
-    if !pending = 0 then begin
-      (* nothing runnable: the simulated core sleeps until the next
-         event — booked, so the audit still balances to elapsed time.
-         The next event is an arrival (queued or the stream's
-         lookahead), a client deadline, or a retry requeue. *)
-      let earliest a b =
-        match (a, b) with
-        | None, x | x, None -> x
-        | Some x, Some y -> Some (min x y)
-      in
-      let next_at =
-        earliest
-          (Twine_sim.Eventq.peek_time q)
-          (earliest
-             (Option.map (fun a -> t0 + a.Workload.at) !lookahead)
-             (Twine_sim.Eventq.peek_time timers))
-      in
-      match next_at with
-      | Some t ->
-          let dt = t - Machine.now_ns machine in
-          Machine.charge machine ~account:"serve.idle" "serve.idle" dt
-      | None -> assert false (* completed < n implies events remain *)
-    end
-    else begin
-      let k = cfg.enclaves in
-      let rec find i tries =
-        if tries = 0 then None
-        else if workers.(i mod k).live = 0 then find (i + 1) (tries - 1)
-        else Some (i mod k)
-      in
-      match find !rr k with
-      | None -> assert false (* pending > 0 implies a live queue *)
-      | Some i ->
-          rr := (i + 1) mod k;
-          let w = workers.(i) in
-          let batch = take_batch w cfg.batch [] in
-          pending := !pending - List.length batch;
-          incr batches;
-          Twine_obs.Obs.observe obs "serve.batch_fill" (List.length batch);
-          let batch_ctx =
-            match (batch, List.rev batch) with
-            | (first, _, _) :: _, (last, _, _) :: _ ->
-                Some
-                  [ ("enclave", w.eid); ("size", List.length batch);
-                    ("rid_first", first); ("rid_last", last) ]
-            | _ -> None
-          in
-          in_batch := true;
-          let done_rev = ref [] in
-          let result =
-            Twine.Runtime.serve_safe w.rt ?batch:batch_ctx (fun e ->
-                List.iter
-                  (fun item -> done_rev := serve_one w e item :: !done_rev)
-                  batch)
-          in
-          in_batch := false;
-          let served = List.rev !done_rev in
-          (match result with
-          | Ok () ->
-              (* The batch's entry/exit crossings (and any other booking
-                 not inside a single request) are shared overhead: split
-                 each account evenly over the batch, remainder to the
-                 first request, so the split is exact in integers. *)
-              let k_served = List.length served in
-              if k_served > 0 then
-                Hashtbl.iter
-                  (fun account ns ->
-                    let per = ns / k_served and rem = ns mod k_served in
-                    List.iteri
-                      (fun j r ->
-                        let share = per + if j = 0 then rem else 0 in
-                        credit r.breakdown account share;
-                        attributed := !attributed + share)
-                      served)
-                  overhead;
-              Hashtbl.reset overhead
-          | Error err ->
-              (* requests that completed before the fault keep their
-                 slices (no overhead share: the batch overhead is
-                 failure-domain cost now); the rest retry or fail *)
-              handle_batch_failure i w batch served err);
-          fold_served served
-    end
+    match live_slot !rr k with
+    | None -> (
+        (* nothing runnable: the simulated core sleeps until the next
+           arrival or timer (a client deadline or a retry requeue) —
+           booked, so the audit still balances to elapsed time. There
+           is none only when the drain completed the last requests. *)
+        match
+          List.filter_map Fun.id
+            [ Option.map (fun a -> t0 + a.Workload.at) !lookahead;
+              Twine_sim.Eventq.peek_time timers ]
+        with
+        | [] -> assert (completed () = n)
+        | ts ->
+            Machine.charge machine ~account:"serve.idle" "serve.idle"
+              (List.fold_left min max_int ts - Machine.now_ns machine))
+    | Some i ->
+        rr := (i + 1) mod k;
+        let w = workers.(i) in
+        let batch = take_batch w cfg.batch [] in
+        let size = List.length batch in
+        incr batches;
+        Twine_obs.Obs.observe obs "serve.batch_fill" size;
+        let batch_ctx =
+          [ ("enclave", w.eid); ("size", size);
+            ("rid_first", (List.hd batch).r.rid);
+            ("rid_last", (List.nth batch (size - 1)).r.rid) ]
+        in
+        in_batch := true;
+        let done_rev = ref [] in
+        let result =
+          Twine.Runtime.serve_safe w.rt ~batch:batch_ctx (fun e ->
+              List.iter (fun x -> done_rev := serve_one w e x :: !done_rev) batch)
+        in
+        in_batch := false;
+        let served = List.rev !done_rev in
+        (match result with
+        | Ok () ->
+            (* The batch's entry/exit crossings (and any other booking
+               not inside a single request) are shared overhead: split
+               each account evenly over the batch, remainder to the
+               first request, so the split is exact in integers. *)
+            let k_served = List.length served in
+            if k_served > 0 then
+              Hashtbl.iter
+                (fun account ns ->
+                  let per = ns / k_served and rem = ns mod k_served in
+                  List.iteri
+                    (fun j r ->
+                      let share = per + if j = 0 then rem else 0 in
+                      credit r.breakdown account share;
+                      attributed := !attributed + share)
+                    served)
+                overhead;
+            Hashtbl.reset overhead
+        | Error err ->
+            (* requests that completed before the fault keep their
+               slices (no overhead share: the batch overhead is
+               failure-domain cost now); the rest retry or fail *)
+            handle_batch_failure i w batch err);
+        fold_served served
   done;
   Twine_obs.Ledger.set_tap ledger None;
   Epc.set_refault_hook epc None;
@@ -1074,15 +991,8 @@ let run ?(prepare = fun (_ : Machine.t) -> ()) (cfg : config) =
   in
   let ecalls = Twine_obs.Obs.value obs "sgx.ecall" in
   let ocalls = Twine_obs.Obs.value obs "sgx.ocall" in
-  let requests_log =
-    if retain then
-      Array.map
-        (function
-          | Some r -> r
-          | None -> invalid_arg "Serve.run: request never served")
-        (if n = 0 then [||] else req_log)
-    else [||]
-  in
+  (* admission is in rid order, so the log is indexed by rid *)
+  let requests_log = Array.of_list (List.rev !admitted) in
   let booked = (Twine_obs.Ledger.audit ledger).Twine_obs.Ledger.booked_ns in
   let interference_by_evictor = List.sort compare !interference_acc in
   (* retained mode: the served requests in (latency, rid) order give

@@ -45,7 +45,6 @@ type config = {
   mix : Workload.mix;
   wasm_factor : float;
       (** pinned Wasm slowdown (never wall-clock calibrated here) *)
-  ns_per_work : float;
   retain_requests : bool;
       (** keep the per-request log ({!stats.requests_log}, exact
           percentiles, {!blame}). [false] is the [--stream] mode: the
@@ -73,10 +72,6 @@ type config = {
       (** retry backoff base: requeue k waits [base * 2^(k-1)], capped at
           50 x base, plus deterministic DRBG jitter up to +25%; 0
           retries immediately *)
-  hedge : bool;
-      (** hedged retries: a requeued request goes to the least-loaded
-          enclave instead of back to its home queue (every enclave holds
-          an identical dataset, so any slot can serve it) *)
   shed_depth : int;
       (** admission control: an arrival finding its enclave's live queue
           this deep completes as [Shed] without being enqueued; 0
@@ -84,8 +79,8 @@ type config = {
 }
 
 val default_config : config
-(** 100k requests, 8 enclaves, batch 16, 768-page EPC, factor 2.5,
-    retention on, 50 ms windows, no SLO, no chaos, no
+(** 100k requests at a 5 us mean gap, 8 enclaves, batch 16, 768-page
+    EPC, factor 2.5, retention on, 50 ms windows, no SLO, no chaos, no
     deadlines/shedding, 2 retries with 100 us base backoff (capped at
     5 ms). A run always samples queue depth, per-enclave EPC residency
     and completed requests every 1 ms of virtual time, and emits
@@ -123,10 +118,12 @@ val outcome_name : outcome -> string
 
 type request = {
   rid : int;
-  enclave : int;
+  mutable enclave : int;  (** the enclave that served or completed it *)
   kind : string;  (** {!Workload.req_name} *)
   arrival_ns : int;
-  start_ns : int;  (** when its batch reached the front and service began *)
+  mutable start_ns : int;
+      (** when its last attempt's service began (= [finish_ns] for a
+          request completed without service) *)
   mutable finish_ns : int;
   mutable outcome : outcome;
   mutable attempts : int;
@@ -134,7 +131,9 @@ type request = {
           unserved) *)
   mutable retry_wait_ns : int;
       (** total backoff delay scheduled before retries of this request *)
-  breakdown : breakdown;
+  mutable breakdown : breakdown;
+      (** the last attempt's slice: a crashed attempt's slice moves to
+          the failover bucket and the retry starts from zero *)
   mutable interference : (int * int) list;
       (** (evictor enclave, cross-enclave refaults this request paid
           for), sorted by enclave id *)

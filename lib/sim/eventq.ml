@@ -4,9 +4,11 @@
    in insertion order, so a simulation driven off this queue replays
    identically for a given seed regardless of heap-internal layout.
 
-   Cancellation is tombstone-based: [cancel] only drops the event's
-   sequence number from the live set, and [peek]/[pop] discard dead
-   heap entries lazily on their way to the top. Each cancelled entry is
+   Payloads live in the live set, keyed by sequence number; the heap
+   holds only (time, seq). Cancellation is tombstone-based: [cancel]
+   drops the event's entry (payload included) from the live set, and
+   [peek]/[pop] discard dead heap entries lazily on their way to the
+   top, so a cancelled event pins no payload while it waits there. Each cancelled entry is
    sifted out of the heap exactly once, so the amortized cost of a
    cancel is one O(log n) heap pop — cheap enough for one deadline
    timer per request in the serving fleet. *)
@@ -14,10 +16,10 @@
 type id = int  (* the event's insertion sequence number *)
 
 type 'a t = {
-  mutable heap : (int * int * 'a) array;  (* (time, seq, payload) *)
+  mutable heap : (int * int) array;  (* (time, seq) *)
   mutable size : int;
   mutable next_seq : int;
-  live : (int, unit) Hashtbl.t;  (* seqs in the heap and not cancelled *)
+  live : (int, 'a) Hashtbl.t;  (* payloads of seqs in the heap and not cancelled *)
 }
 
 let create () = { heap = [||]; size = 0; next_seq = 0; live = Hashtbl.create 16 }
@@ -25,7 +27,7 @@ let create () = { heap = [||]; size = 0; next_seq = 0; live = Hashtbl.create 16 
 let length t = Hashtbl.length t.live
 let is_empty t = Hashtbl.length t.live = 0
 
-let before (t1, s1, _) (t2, s2, _) = t1 < t2 || (t1 = t2 && s1 < s2)
+let before (t1, s1) (t2, s2) = t1 < t2 || (t1 = t2 && s1 < s2)
 
 let swap t i j =
   let tmp = t.heap.(i) in
@@ -55,16 +57,16 @@ let schedule t ~at payload =
   if at < 0 then invalid_arg "Eventq.add: negative time";
   if t.size = Array.length t.heap then begin
     let cap = max 16 (2 * Array.length t.heap) in
-    let bigger = Array.make cap (0, 0, payload) in
+    let bigger = Array.make cap (0, 0) in
     Array.blit t.heap 0 bigger 0 t.size;
     t.heap <- bigger
   end;
   let seq = t.next_seq in
-  t.heap.(t.size) <- (at, seq, payload);
+  t.heap.(t.size) <- (at, seq);
   t.next_seq <- seq + 1;
   t.size <- t.size + 1;
   sift_up t (t.size - 1);
-  Hashtbl.replace t.live seq ();
+  Hashtbl.replace t.live seq payload;
   seq
 
 let add t ~at payload = ignore (schedule t ~at payload)
@@ -76,20 +78,20 @@ let cancel t id = Hashtbl.remove t.live id
 let heap_pop t =
   if t.size = 0 then None
   else begin
-    let at, seq, p = t.heap.(0) in
+    let top = t.heap.(0) in
     t.size <- t.size - 1;
     if t.size > 0 then begin
       t.heap.(0) <- t.heap.(t.size);
       sift_down t 0
     end;
-    Some (at, seq, p)
+    Some top
   end
 
 (* Discard cancelled entries off the top until a live one surfaces. *)
 let rec settle t =
   if t.size = 0 then ()
   else
-    let _, seq, _ = t.heap.(0) in
+    let _, seq = t.heap.(0) in
     if Hashtbl.mem t.live seq then ()
     else begin
       ignore (heap_pop t);
@@ -98,17 +100,21 @@ let rec settle t =
 
 let peek t =
   settle t;
-  if t.size = 0 then None else Some (let at, _, p = t.heap.(0) in (at, p))
+  if t.size = 0 then None
+  else
+    let at, seq = t.heap.(0) in
+    Some (at, Hashtbl.find t.live seq)
 
 let peek_time t =
   settle t;
-  if t.size = 0 then None else Some (let at, _, _ = t.heap.(0) in at)
+  if t.size = 0 then None else Some (fst t.heap.(0))
 
 let pop t =
   settle t;
   match heap_pop t with
   | None -> None
-  | Some (at, seq, p) ->
+  | Some (at, seq) ->
+      let p = Hashtbl.find t.live seq in
       Hashtbl.remove t.live seq;
       Some (at, p)
 

@@ -4,8 +4,8 @@
     insertion order (a monotone sequence number), so a scheduler driven
     off this queue is deterministic: the same seed produces the same pop
     order, independent of heap-internal layout. The serving simulator
-    ({!Twine_serve}) uses one for request arrivals and another for
-    deadline/retry timers, which need {!cancel}. *)
+    ({!Twine_serve}) uses one for its deadline/retry timers, which need
+    {!cancel}. *)
 
 type 'a t
 
@@ -30,8 +30,9 @@ val schedule : 'a t -> at:int -> 'a -> id
 
 val cancel : 'a t -> id -> unit
 (** Revoke a scheduled event: it will never be returned by
-    {!peek}/{!pop}/{!drain_until}. Tombstone-based — the dead heap entry
-    is discarded lazily on its way to the top, so a cancel costs one
+    {!peek}/{!pop}/{!drain_until}, and its payload is released at once.
+    Tombstone-based — the dead heap entry (time and handle only) is
+    discarded lazily on its way to the top, so a cancel costs one
     O(log n) heap pop, amortized. Idempotent: cancelling an event that
     already fired (or was already cancelled) is a no-op. Cancelling
     does not disturb FIFO ordering among surviving same-time events. *)

@@ -726,6 +726,18 @@ let test_shed_depth () =
     (s.Serve.served * 1_000_000 / cfg.Serve.requests)
     s.Serve.availability_ppm;
   check_conserves_failover "shed" s;
+  (* with deadlines too, the last arrivals are shed or expire inside
+     the final drain, leaving nothing queued and no event pending: the
+     run must still end with every rid completed once *)
+  let d = Serve.run { cfg with Serve.deadline_ns = 300_000 } in
+  Alcotest.(check bool) "sheds and timeouts together" true
+    (d.Serve.shed > 0 && d.Serve.timed_out > 0);
+  Alcotest.(check int) "every rid completes once" cfg.Serve.requests
+    (d.Serve.served + d.Serve.shed + d.Serve.timed_out + d.Serve.failed);
+  Array.iteri
+    (fun i r -> Alcotest.(check int) "log indexed by rid" i r.Serve.rid)
+    d.Serve.requests_log;
+  check_conserves_failover "shed+deadline" d;
   let off = Serve.run { cfg with Serve.shed_depth = 0 } in
   Alcotest.(check int) "0 disables depth shedding" 0 off.Serve.shed
 
