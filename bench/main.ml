@@ -1,34 +1,19 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
-   evaluation (§V). Sections:
+   evaluation (§V), and collects the gated baseline metrics.
 
-     fig3    PolyBench/C, normalised to native (native / WAMR / TWINE)
-     fig4    SQLite Speedtest1 relative performance (29 tests, 4 systems,
-             in-memory and in-file)
-     fig5    micro-benchmarks: insertion / sequential read / random read
-             vs database size (8 series)
-     table2  normalised run times split at the EPC boundary
-     table3  cost factors (times and sizes)
-     fig6    SGX hardware vs software mode
-     fig7    IPFS time breakdown, stock vs optimised (§V-F)
-     ablate  design-choice ablations (page cache, node cache, engines)
-     micro   Bechamel wall-clock micro-benchmarks of core primitives
-     report  per-run telemetry report of a WASI-heavy workload (table+JSON)
-     profile guest-level profiler: hot functions, interp-vs-AoT parity,
-             folded stacks written to polybench-atax.folded
-     serve   multi-enclave serving fleet on one shared EPC: open-loop
-             replay, ECALL batching, throughput-vs-fleet-size cliff
-     sql     per-operator query observability: EXPLAIN ANALYZE trees of
-             the serving shapes, the zero-residue attribution audit,
-             access-path census and query-stats fingerprints
-
-   Run everything with `dune exec bench/main.exe`, or a single section by
-   passing its name (e.g. `dune exec bench/main.exe fig5`).
+   The sections are the [sections] table at the end of this file. Run
+   them all with `dune exec bench/main.exe`, one by passing its name
+   (e.g. `dune exec bench/main.exe fig5`); an unknown name lists them.
+   `json`/`check`/`diff [FILE]` write, gate and explain the baseline
+   (BENCH_twine.json) from the [gated] workloads.
 
    Scaling: datasets are reduced from the paper's server-scale runs and
    the simulated EPC is shrunk proportionally so the EPC crossover falls
    inside the sweep; EXPERIMENTS.md records the mapping. Simulated times
-   are virtual nanoseconds on the machine clock; PolyBench numbers are
-   measured wall-clock. *)
+   are virtual nanoseconds on the machine clock; Fig 3's PolyBench
+   columns and Table III's compile times are measured wall-clock.
+   Repeated host-time measurement (medians with spreads) is perfbench/'s
+   job, not this harness's. *)
 
 open Twine
 open Twine_sgx
@@ -37,6 +22,10 @@ let section title =
   Printf.printf "\n%s\n%s\n" title (String.make (String.length title) '=')
 
 let hr () = print_endline (String.make 78 '-')
+
+(* A section gate that does not hold: say why on stdout and fail the
+   harness. *)
+let fail fmt = Printf.ksprintf (fun msg -> print_endline msg; exit 1) fmt
 
 (* Conservation audit: after a section, every machine it created must
    satisfy elapsed = booked + 0 residue. Machine.charge is the only
@@ -75,12 +64,17 @@ let audited name f =
    paper (§V-B). *)
 let fig3_epc_bytes = 2 * 1024 * 1024
 
-let twine_kernel_ns k =
+(* One AoT-compiled kernel in one ECALL of a fresh enclave on the Fig 3
+   EPC, its linear memory mapped into the enclave. [prepare] sees the
+   machine and instance before the memory is mapped. Returns the machine
+   and the ECALL's cost: wall ns plus the virtual ns it booked. *)
+let enclave_kernel ?(prepare = fun _ _ -> ()) k =
   let machine = Machine.create ~seed:"fig3" ~epc_bytes:fig3_epc_bytes () in
   let enclave = Enclave.create machine ~heap_bytes:0 ~code:Runtime.runtime_code () in
   let m, _lay = Twine_polybench.Kernel_dsl.comp_wasm k in
   let inst = Twine_wasm.Interp.instantiate m in
   ignore (Twine_wasm.Aot.compile_instance inst);
+  prepare machine inst;
   (match inst.Twine_wasm.Instance.memory with
   | Some mem ->
       let base = Enclave.reserve enclave (Twine_wasm.Memory.size_bytes mem) in
@@ -90,7 +84,7 @@ let twine_kernel_ns k =
   let t0 = Unix.gettimeofday () in
   Enclave.ecall enclave (fun _ -> ignore (Twine_wasm.Interp.invoke inst "kernel" []));
   let wall = int_of_float ((Unix.gettimeofday () -. t0) *. 1e9) in
-  wall + (Machine.now_ns machine - sim0)
+  (machine, wall + (Machine.now_ns machine - sim0))
 
 let fig3 () =
   section "Fig 3: PolyBench/C performance normalised to native";
@@ -106,7 +100,7 @@ let fig3 () =
         let wamr =
           (Twine_polybench.Suite.run_wasm ~engine:`Aot k).Twine_polybench.Suite.wall_ns
         in
-        let twine = twine_kernel_ns k in
+        let twine = snd (enclave_kernel k) in
         let rw = float_of_int wamr /. float_of_int native in
         let rt = float_of_int twine /. float_of_int native in
         Printf.printf "%-16s %10.1f %10.1f %10.1f   %8.2f %8.2f\n"
@@ -195,24 +189,27 @@ let fig5_blob = 256
 let fig5_rand_reads = 2500
 let fig5_epc_records = 2200
 
-let fig5_series () =
-  let wf = Bench_db.calibrate_wasm_factor () in
-  List.map
-    (fun (name, variant, storage) ->
-      let machine = Machine.create ~seed:"fig5" ~epc_bytes:fig5_epc_bytes () in
-      let r =
-        Microbench.sweep ~machine ~blob_bytes:fig5_blob ~rand_reads:fig5_rand_reads
-          ~cache_pages:64 ~wasm_factor:wf variant storage ~sizes:fig5_sizes ()
-      in
-      (name, r))
-    [ ("native/mem", Bench_db.Native, Bench_db.Mem);
-      ("native/file", Bench_db.Native, Bench_db.File);
-      ("wamr/mem", Bench_db.Wamr, Bench_db.Mem);
-      ("wamr/file", Bench_db.Wamr, Bench_db.File);
-      ("sgx-lkl/mem", Bench_db.Sgx_lkl, Bench_db.Mem);
-      ("sgx-lkl/file", Bench_db.Sgx_lkl, Bench_db.File);
-      ("twine/mem", Bench_db.Twine_rt, Bench_db.Mem);
-      ("twine/file", Bench_db.Twine_rt, Bench_db.File) ]
+(* One sweep feeds both Fig 5 and Table II: whichever section runs
+   first pays for it (and audits its machines). *)
+let fig5_series =
+  lazy
+    (let wf = Bench_db.calibrate_wasm_factor () in
+     List.map
+       (fun (name, variant, storage) ->
+         let machine = Machine.create ~seed:"fig5" ~epc_bytes:fig5_epc_bytes () in
+         let r =
+           Microbench.sweep ~machine ~blob_bytes:fig5_blob ~rand_reads:fig5_rand_reads
+             ~cache_pages:64 ~wasm_factor:wf variant storage ~sizes:fig5_sizes ()
+         in
+         (name, r))
+       [ ("native/mem", Bench_db.Native, Bench_db.Mem);
+         ("native/file", Bench_db.Native, Bench_db.File);
+         ("wamr/mem", Bench_db.Wamr, Bench_db.Mem);
+         ("wamr/file", Bench_db.Wamr, Bench_db.File);
+         ("sgx-lkl/mem", Bench_db.Sgx_lkl, Bench_db.Mem);
+         ("sgx-lkl/file", Bench_db.Sgx_lkl, Bench_db.File);
+         ("twine/mem", Bench_db.Twine_rt, Bench_db.Mem);
+         ("twine/file", Bench_db.Twine_rt, Bench_db.File) ])
 
 let print_fig5 series field title =
   section title;
@@ -235,10 +232,19 @@ let print_fig5 series field title =
           Printf.printf " %12.3f" (float_of_int v /. 1e6))
         series;
       print_newline ())
-    fig5_sizes;
-  ignore field
+    fig5_sizes
 
-let table2 series =
+let fig5 () =
+  let series = Lazy.force fig5_series in
+  print_fig5 series `Insert "Fig 5a: insertion time vs database size (ms, simulated)";
+  print_fig5 series `Seq "Fig 5b: sequential-read time vs database size (ms, simulated)";
+  print_fig5 series `Rand
+    (Printf.sprintf
+       "Fig 5c: random-read time (one read per record, cap %d) vs size (ms, simulated)"
+       fig5_rand_reads)
+
+let table2 () =
+  let series = Lazy.force fig5_series in
   section "Table II: normalised run time (native = 1), split at the EPC boundary";
   Printf.printf "(EPC boundary at ~%d records)\n" fig5_epc_records;
   Printf.printf "%-18s %28s %29s %28s\n" "" "WAMR" "SGX-LKL" "TWINE";
@@ -517,100 +523,7 @@ let ablate () =
         (float_of_int (Machine.now_ns machine - t0) /. 1e6)
         (ocall_charges () - oc0);
       Twine_ipfs.Protected_fs.close f)
-    [ 8; 16; 48; 128; 512 ];
-
-  section "Ablation: interpreter vs AoT engine (PolyBench subset, wall-clock)";
-  Printf.printf "%-16s %12s %12s %12s %8s\n" "kernel" "native(us)" "interp(us)"
-    "aot(us)" "aot gain";
-  hr ();
-  List.iter
-    (fun name ->
-      match Twine_polybench.Kernels.find name (Twine_polybench.Kernels.all ~scale:0.7 ()) with
-      | None -> ()
-      | Some k ->
-          let n = (Twine_polybench.Suite.run_native k).Twine_polybench.Suite.wall_ns in
-          let i = (Twine_polybench.Suite.run_wasm ~engine:`Interp k).Twine_polybench.Suite.wall_ns in
-          let a = (Twine_polybench.Suite.run_wasm ~engine:`Aot k).Twine_polybench.Suite.wall_ns in
-          Printf.printf "%-16s %12.1f %12.1f %12.1f %7.2fx\n" name
-            (float_of_int n /. 1e3) (float_of_int i /. 1e3) (float_of_int a /. 1e3)
-            (float_of_int i /. float_of_int (max 1 a)))
-    [ "gemm"; "atax"; "jacobi-2d"; "floyd-warshall"; "durbin"; "heat-3d" ]
-
-(* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks                                           *)
-(* ------------------------------------------------------------------ *)
-
-let bechamel_suite () =
-  section "Wall-clock micro-benchmarks (Bechamel)";
-  let open Bechamel in
-  let open Toolkit in
-  let gcm_key = Twine_crypto.Gcm.of_raw (String.make 16 'k') in
-  let block4k = String.make 4096 'x' in
-  let gemm =
-    List.hd
-      (List.filter
-         (fun k -> k.Twine_polybench.Kernel_dsl.name = "gemm")
-         (Twine_polybench.Kernels.all ~scale:0.5 ()))
-  in
-  let tests =
-    [ Test.make ~name:"aes-gcm-seal-4KiB"
-        (Staged.stage (fun () ->
-             ignore (Twine_crypto.Gcm.encrypt gcm_key ~iv:(String.make 12 'i') block4k)));
-      Test.make ~name:"sha256-4KiB"
-        (Staged.stage (fun () -> ignore (Twine_crypto.Sha256.digest block4k)));
-      Test.make ~name:"gemm-native"
-        (Staged.stage (fun () -> ignore (Twine_polybench.Suite.run_native gemm)));
-      Test.make ~name:"gemm-wasm-interp"
-        (Staged.stage (fun () ->
-             ignore (Twine_polybench.Suite.run_wasm ~engine:`Interp gemm)));
-      Test.make ~name:"gemm-wasm-aot"
-        (Staged.stage (fun () ->
-             ignore (Twine_polybench.Suite.run_wasm ~engine:`Aot gemm)));
-      Test.make ~name:"btree-1k-inserts"
-        (Staged.stage (fun () ->
-             let vfs = Twine_sqldb.Svfs.memory () in
-             let p = Twine_sqldb.Pager.create_or_open vfs "b" in
-             Twine_sqldb.Pager.begin_txn p;
-             let root = Twine_sqldb.Btree.create p Twine_sqldb.Btree.Table in
-             for i = 1 to 1000 do
-               Twine_sqldb.Btree.insert_table p ~root ~rowid:(Int64.of_int i) "payload"
-             done;
-             Twine_sqldb.Pager.commit p));
-      (let db = Twine_sqldb.Db.open_db ":memory:" in
-       ignore (Twine_sqldb.Db.exec db "CREATE TABLE t(a INTEGER PRIMARY KEY, b TEXT)");
-       ignore (Twine_sqldb.Db.exec db "BEGIN");
-       for i = 1 to 1000 do
-         ignore
-           (Twine_sqldb.Db.exec db (Printf.sprintf "INSERT INTO t VALUES (%d, 'v%d')" i i))
-       done;
-       ignore (Twine_sqldb.Db.exec db "COMMIT");
-       Test.make ~name:"sql-100-point-queries"
-         (Staged.stage (fun () ->
-              for i = 1 to 100 do
-                ignore
-                  (Twine_sqldb.Db.query db
-                     (Printf.sprintf "SELECT b FROM t WHERE a = %d" (((i * 7) mod 1000) + 1)))
-              done)));
-    ]
-  in
-  Printf.printf "%-26s %16s\n" "benchmark" "time/run";
-  hr ();
-  List.iter
-    (fun test ->
-      let cfg = Benchmark.cfg ~limit:300 ~quota:(Time.second 0.4) () in
-      let results = Benchmark.all cfg Instance.[ monotonic_clock ] test in
-      let analysis =
-        Analyze.all
-          (Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |])
-          Instance.monotonic_clock results
-      in
-      Hashtbl.iter
-        (fun name ols ->
-          match Analyze.OLS.estimates ols with
-          | Some [ est ] -> Printf.printf "%-26s %13.0f ns\n" name est
-          | _ -> Printf.printf "%-26s %16s\n" name "n/a")
-        analysis)
-    tests
+    [ 8; 16; 48; 128; 512 ]
 
 (* ------------------------------------------------------------------ *)
 (* Telemetry report: one WASI-heavy run through the full stack          *)
@@ -678,12 +591,22 @@ let report_wat =
         (drop (call $fd_close (local.get $fd)))
         (call $proc_exit (i32.const 0))))|}
 
-let report () =
-  section "Telemetry: per-run cost report (WASI file churn, 128 KiB EPC)";
+(* The report workload on its shrunk-EPC machine, optionally under a
+   virtual-clock guest profiler. *)
+let run_report ?(profiled = false) () =
   let machine = Machine.create ~seed:"report" ~epc_bytes:(32 * 4096) () in
   let rt = Runtime.create machine in
   Runtime.deploy rt (Twine_wasm.Wat.parse report_wat);
-  let r = Runtime.run rt in
+  let profile =
+    if profiled then
+      Some (Twine_obs.Profile.create ~now:(fun () -> Machine.now_ns machine) ())
+    else None
+  in
+  (machine, Runtime.run ?profile rt, profile)
+
+let report () =
+  section "Telemetry: per-run cost report (WASI file churn, 128 KiB EPC)";
+  let machine, r, _ = run_report () in
   Printf.printf "exit code %d, simulated time %.3f ms\n" r.Runtime.exit_code
     (float_of_int (Machine.now_ns machine) /. 1e6);
   print_newline ();
@@ -728,21 +651,11 @@ let profile_ledger_file = "polybench-atax.ledger.json"
    raised mid-kernel (EPC faults of the linear memory) attribute to the
    guest frame that caused them. *)
 let profiled_enclave_atax k =
-  let machine = Machine.create ~seed:"fig3" ~epc_bytes:fig3_epc_bytes () in
-  let enclave = Enclave.create machine ~heap_bytes:0 ~code:Runtime.runtime_code () in
-  let m, _lay = Twine_polybench.Kernel_dsl.comp_wasm k in
-  let inst = Twine_wasm.Interp.instantiate m in
-  ignore (Twine_wasm.Aot.compile_instance inst);
-  let prof = Twine_obs.Profile.create ~now:(fun () -> Machine.now_ns machine) () in
-  Twine_obs.Profile.connect_ledger prof (Machine.ledger machine);
-  inst.Twine_wasm.Instance.hooks <- Some (profile_hooks prof inst);
-  (match inst.Twine_wasm.Instance.memory with
-  | Some mem ->
-      let base = Enclave.reserve enclave (Twine_wasm.Memory.size_bytes mem) in
-      Runtime.install_memory_hook enclave ~base mem
-  | None -> ());
-  Enclave.ecall enclave (fun _ -> ignore (Twine_wasm.Interp.invoke inst "kernel" []));
-  (machine, prof)
+  fst
+    (enclave_kernel k ~prepare:(fun machine inst ->
+         let prof = Twine_obs.Profile.create ~now:(fun () -> Machine.now_ns machine) () in
+         Twine_obs.Profile.connect_ledger prof (Machine.ledger machine);
+         inst.Twine_wasm.Instance.hooks <- Some (profile_hooks prof inst)))
 
 let write_ledger_json machine file =
   let oc = open_out file in
@@ -763,25 +676,21 @@ let profile_section () =
   in
   let prof_i, ri = profiled_kernel ~engine:`Interp k in
   let prof_a, ra = profiled_kernel ~engine:`Aot k in
+  let agree =
+    ri.Twine_polybench.Suite.fuel = ra.Twine_polybench.Suite.fuel
+    && Twine_obs.Profile.functions prof_i = Twine_obs.Profile.functions prof_a
+  in
   Printf.printf "atax: interp %d instr, AoT %d instr — %s\n" ri.Twine_polybench.Suite.fuel
     ra.Twine_polybench.Suite.fuel
-    (if
-       ri.Twine_polybench.Suite.fuel = ra.Twine_polybench.Suite.fuel
-       && Twine_obs.Profile.functions prof_i = Twine_obs.Profile.functions prof_a
-     then "engines agree (per-function parity)"
-     else "ENGINE MISMATCH");
+    (if agree then "engines agree (per-function parity)" else "ENGINE MISMATCH");
+  if not agree then exit 1;
   print_string (Twine_obs.Report.profile_table prof_a);
   Twine_obs.Trace_export.folded_to_file prof_a profile_folded_file;
   Printf.printf "folded stacks -> %s\n" profile_folded_file;
   (* the WASI-heavy report workload, profiled through the runtime: shows
      hostcall time attributed to the calling guest frame *)
-  let machine = Machine.create ~seed:"report" ~epc_bytes:(32 * 4096) () in
-  let rt = Runtime.create machine in
-  Runtime.deploy rt (Twine_wasm.Wat.parse report_wat);
-  let prof =
-    Twine_obs.Profile.create ~now:(fun () -> Machine.now_ns machine) ()
-  in
-  let r = Runtime.run ~profile:prof rt in
+  let machine, r, prof = run_report ~profiled:true () in
+  let prof = Option.get prof in
   Printf.printf "\nreport workload (exit %d, %d instr):\n" r.Runtime.exit_code
     r.Runtime.fuel;
   print_string (Twine_obs.Report.profile_table prof);
@@ -791,12 +700,11 @@ let profile_section () =
        (Twine_obs.Ledger.snapshot (Machine.ledger machine)));
   (* the enclave-hosted kernel: same attribution machinery under EPC
      pressure, exported as machine-readable ledger JSON for CI *)
-  let lm, lprof = profiled_enclave_atax k in
+  let lm = profiled_enclave_atax k in
   Printf.printf "\natax in-enclave (EPC %d KiB):\n" (fig3_epc_bytes / 1024);
   print_string (Twine_obs.Ledger.render ~title:"atax cycle ledger" (Machine.ledger lm));
   print_string
     (Twine_obs.Ledger.render_matrix (Twine_obs.Ledger.snapshot (Machine.ledger lm)));
-  ignore lprof;
   write_ledger_json lm profile_ledger_file;
   Printf.printf "ledger JSON -> %s\n" profile_ledger_file
 
@@ -955,10 +863,8 @@ let crash_section () =
           desc)
       (List.rev !failures);
     close_out oc;
-    Printf.printf
-      "CRASH MATRIX FAILED: %d bad crash point(s); plan in crash-failures.txt\n"
-      (List.length !failures);
-    exit 1
+    fail "CRASH MATRIX FAILED: %d bad crash point(s); plan in crash-failures.txt"
+      (List.length !failures)
   end;
   (* 3. fault-plan determinism: same seed => same injections, same books *)
   let plan =
@@ -986,13 +892,10 @@ let crash_section () =
   in
   let inj1, books1, m1 = injected_run () in
   let inj2, books2, _ = injected_run () in
-  if inj1 <> inj2 || books1 <> books2 then begin
-    Printf.printf
-      "FAULT PLAN NOT DETERMINISTIC: %d vs %d injection(s), books %s\n"
+  if inj1 <> inj2 || books1 <> books2 then
+    fail "FAULT PLAN NOT DETERMINISTIC: %d vs %d injection(s), books %s"
       (List.length inj1) (List.length inj2)
       (if books1 = books2 then "equal" else "differ");
-    exit 1
-  end;
   Printf.printf
     "fault plan '%s': %d injection(s), identical sequence and ledger across \
      two runs\n"
@@ -1037,16 +940,24 @@ let serve_gated_config =
     slo = Some serve_slo_spec;
   }
 
+(* The per-request slices of a fleet run must conserve its booked time. *)
+let require_conserved what (s : Twine_serve.Serve.stats) =
+  if s.Twine_serve.Serve.attribution_residue_ns <> 0 then
+    fail "%s LOST TIME (residue %d ns)" what s.Twine_serve.Serve.attribution_residue_ns
+
+(* (fast, slow) burn-rate alerts an SLO evaluation raised *)
+let alert_counts (ev : Twine_obs.Slo.eval) =
+  List.fold_left
+    (fun (f, sl) (a : Twine_obs.Slo.alert) ->
+      match a.Twine_obs.Slo.al_kind with `Fast -> (f + 1, sl) | `Slow -> (f, sl + 1))
+    (0, 0) ev.Twine_obs.Slo.ev_alerts
+
 let serve_section () =
   let open Twine_serve in
   section "serve: multi-enclave fleet, shared EPC, ECALL batching";
   let stats = Serve.run serve_gated_config in
   print_string (Serve.render stats);
-  if stats.Serve.attribution_residue_ns <> 0 then begin
-    Printf.printf "PER-REQUEST ATTRIBUTION LOST TIME (residue %d ns)\n"
-      stats.Serve.attribution_residue_ns;
-    exit 1
-  end;
+  require_conserved "PER-REQUEST ATTRIBUTION" stats;
   (* The sketch's advertised guarantee, checked against ground truth:
      retained mode computes exact nearest-rank percentiles over every
      latency, and the mergeable sketch the --stream mode relies on must
@@ -1059,11 +970,8 @@ let serve_section () =
     Printf.printf
       "  sketch %s %d ns vs exact %d ns (|delta| %d <= alpha bound %d)\n" name
       est exact (abs (est - exact)) bound;
-    if abs (est - exact) > bound then begin
-      Printf.printf "SKETCH %s OUTSIDE ALPHA OF EXACT\n"
-        (String.uppercase_ascii name);
-      exit 1
-    end
+    if abs (est - exact) > bound then
+      fail "SKETCH %s OUTSIDE ALPHA OF EXACT" (String.uppercase_ascii name)
   in
   Printf.printf "\nsketch vs exact percentiles (alpha = %.5f):\n"
     Twine_obs.Sketch.alpha;
@@ -1116,11 +1024,7 @@ let serve_section () =
               slo = Some serve_slo_spec;
             }
         in
-        if s.Serve.attribution_residue_ns <> 0 then begin
-          Printf.printf "PER-REQUEST ATTRIBUTION LOST TIME (residue %d ns)\n"
-            s.Serve.attribution_residue_ns;
-          exit 1
-        end;
+        require_conserved "PER-REQUEST ATTRIBUTION" s;
         let qpct, epcpct = tail_shares s in
         Printf.printf "  %-9d %12.0f %12d %14d %10d %11d %10d %7.1f%% %7.1f%%\n"
           enclaves s.Serve.throughput_rps s.Serve.p50_ns s.Serve.p99_ns
@@ -1154,14 +1058,7 @@ let serve_section () =
             | Some ns -> Printf.sprintf "%.1f" (float_of_int ns /. 1e6)
             | None -> "-"
           in
-          let fast, slow =
-            List.fold_left
-              (fun (f, sl) a ->
-                match a.al_kind with
-                | `Fast -> (f + 1, sl)
-                | `Slow -> (f, sl + 1))
-              (0, 0) ev.ev_alerts
-          in
+          let fast, slow = alert_counts ev in
           Printf.printf "  %-9d %10d %9d %10.1fx %12s %14s %14s\n" enclaves
             ev.ev_windows
             (List.length ev.ev_violations)
@@ -1189,10 +1086,8 @@ let serve_section () =
   Printf.printf
     "  batch <= 16: %6d ecalls, %5d ns/request in sgx.transition.ecall\n"
     batched.Serve.ecalls (per_req batched);
-  if per_req batched >= per_req unbatched then begin
-    Printf.printf "BATCHING DID NOT AMORTISE TRANSITIONS\n";
-    exit 1
-  end;
+  if per_req batched >= per_req unbatched then
+    fail "BATCHING DID NOT AMORTISE TRANSITIONS";
   Printf.printf "\nwhere the batched run's time moved (vs unbatched):\n";
   print_string
     (Twine_obs.Ledger.render_diff ~top:8 ~base:unbatched.Serve.ledger
@@ -1245,15 +1140,9 @@ let chaos_section () =
      the phase start)\n\n";
   let stats = Serve.run chaos_gated_config in
   print_string (Serve.render stats);
-  if stats.Serve.attribution_residue_ns <> 0 then begin
-    Printf.printf "CHAOS ATTRIBUTION LOST TIME (residue %d ns)\n"
-      stats.Serve.attribution_residue_ns;
-    exit 1
-  end;
-  if stats.Serve.failovers < 1 || stats.Serve.goodput_rps <= 0. then begin
-    Printf.printf "CHAOS RUN DID NOT EXERCISE FAILOVER\n";
-    exit 1
-  end;
+  require_conserved "CHAOS ATTRIBUTION" stats;
+  if stats.Serve.failovers < 1 || stats.Serve.goodput_rps <= 0. then
+    fail "CHAOS RUN DID NOT EXERCISE FAILOVER";
   print_newline ();
   print_string (Serve.render_blame ~top:5 stats);
   hr ();
@@ -1264,12 +1153,7 @@ let chaos_section () =
   let streamed =
     Serve.run { chaos_gated_config with Serve.retain_requests = false }
   in
-  let check name a b =
-    if a <> b then begin
-      Printf.printf "CHAOS %s NOT BYTE-IDENTICAL\n" name;
-      exit 1
-    end
-  in
+  let check name a b = if a <> b then fail "CHAOS %s NOT BYTE-IDENTICAL" name in
   check "REPLAY REQUEST TRACE" (Serve.render_requests stats)
     (Serve.render_requests again);
   check "REPLAY SLO ARTIFACT" (Serve.render_slo stats) (Serve.render_slo again);
@@ -1311,11 +1195,7 @@ let chaos_section () =
                 chaos = Some spec;
               }
           in
-          if s.Serve.attribution_residue_ns <> 0 then begin
-            Printf.printf "CHAOS SWEEP LOST TIME (residue %d ns)\n"
-              s.Serve.attribution_residue_ns;
-            exit 1
-          end;
+          require_conserved "CHAOS SWEEP" s;
           let ai, af = chaos_availability_pct s.Serve.availability_ppm in
           Printf.printf
             "  %-10g %-9d %10.0f %7d.%04d %8d %10d %6d %9d %12d ns\n" rate
@@ -1329,17 +1209,8 @@ let chaos_section () =
      failover = serving-phase booked time; the crash rule fires once per \
      run, the transient rate scales retry pressure)\n"
 
-(* ------------------------------------------------------------------ *)
-(* Machine-readable baseline: `bench json` / `bench check`             *)
-(* ------------------------------------------------------------------ *)
-
-(* Every metric below is produced on the virtual clock from fixed seeds
-   and a pinned Wasm slowdown factor, so a healthy tree reproduces the
-   committed values exactly; the tolerance bands absorb benign drift
-   when the cost model is retuned deliberately. PolyBench wall-clock
-   metrics carry no band ([tol] omitted): they are recorded for trend
-   inspection but never gate, since CI hardware varies. *)
-
+(* The Wasm slowdown factor the gated workloads pin, so their metrics
+   reproduce exactly on any host. *)
 let baseline_wasm_factor = 2.5
 
 (* ------------------------------------------------------------------ *)
@@ -1384,6 +1255,14 @@ let sql_setup () =
     (t.Bench_db.ns_per_work *. t.Bench_db.wasm_factor);
   t
 
+(* One serving shape through the TWINE database: its result and operator
+   profile. *)
+let sql_profiled t name sql =
+  let r = Bench_db.exec t sql in
+  match Twine_sqldb.Db.last_profile t.Bench_db.db with
+  | Some p -> (r, p)
+  | None -> fail "NO PROFILE RECORDED FOR %s" name
+
 (* total - sum(op self-work) - overhead: zero by construction *)
 let sql_profile_residue (p : Twine_sqldb.Db.profile) =
   let open Twine_sqldb in
@@ -1399,26 +1278,19 @@ let sql_section () =
   List.iter
     (fun (name, sql) ->
       Printf.printf "\n%s: EXPLAIN ANALYZE %s\n" name sql;
-      let r = Bench_db.exec t ("EXPLAIN ANALYZE " ^ sql) in
+      let r, p = sql_profiled t name ("EXPLAIN ANALYZE " ^ sql) in
       List.iter
         (function
           | [ Value.Text line ] -> Printf.printf "  %s\n" line
           | _ -> ())
         r.Db.rows;
-      match Db.last_profile t.Bench_db.db with
-      | Some p -> residue := !residue + abs (sql_profile_residue p)
-      | None ->
-          Printf.printf "NO PROFILE RECORDED FOR %s\n" name;
-          exit 1)
+      residue := !residue + abs (sql_profile_residue p))
     sql_shapes;
   hr ();
   Printf.printf
     "operator attribution audit: residue %d work unit(s) over %d shape(s)\n"
     !residue (List.length sql_shapes);
-  if !residue <> 0 then begin
-    Printf.printf "OPERATOR ATTRIBUTION LOST WORK\n";
-    exit 1
-  end;
+  if !residue <> 0 then fail "OPERATOR ATTRIBUTION LOST WORK";
   let obs = Bench_db.obs t in
   Printf.printf
     "access-path census (sqldb.plan.*): full_scan=%d rowid_range=%d \
@@ -1434,245 +1306,256 @@ let sql_section () =
     sql_shapes;
   Bench_db.close t
 
+(* ------------------------------------------------------------------ *)
+(* Machine-readable baseline: `bench json` / `bench check` / `diff`    *)
+(* ------------------------------------------------------------------ *)
+
+(* Every metric below is produced on the virtual clock from fixed seeds
+   and [baseline_wasm_factor], so a healthy tree reproduces the
+   committed values exactly; the tolerance bands absorb benign drift
+   when the cost model is retuned deliberately.
+
+   A gated workload emits its metrics through [put] and returns its
+   ledger snapshot. The snapshot's accounts become the workload's
+   ledger.<group>.* metrics, and `check`/`diff` attribute drift in the
+   group's metrics against it. *)
+
+type put = string * Twine_obs.Baseline.metric -> unit
+
+(* -- the report workload: every instrumented layer in one run -- *)
+let report_gate (put : put) =
+  let open Twine_obs in
+  let machine, r, _ = run_report () in
+  let obs = machine.Machine.obs in
+  put (Baseline.v ~tol:0.0 "report.exit_code" r.Runtime.exit_code);
+  (* exact guest instruction count: deterministic in both engines, so
+     any drift is an engine regression that time bands would miss *)
+  put (Baseline.v ~tol:0.0 "report.fuel" r.Runtime.fuel);
+  put (Baseline.v ~tol:0.02 "report.virtual_ns" (Machine.now_ns machine));
+  List.iter
+    (fun k -> put (Baseline.v ~tol:0.0 ("report." ^ k) (Obs.value obs k)))
+    [ "sgx.ecall"; "sgx.ocall"; "wasi.hostcall"; "epc.fault"; "epc.hit";
+      "epc.evict"; "ipfs.cache.hit"; "ipfs.cache.miss" ];
+  Ledger.snapshot (Machine.ledger machine)
+
+(* -- SQLite micro-benchmark sweep, TWINE variant on a file DB -- *)
+let micro_gate (put : put) =
+  let open Twine_obs in
+  let machine = Machine.create ~seed:"baseline" () in
+  let s =
+    Microbench.sweep ~machine ~wasm_factor:baseline_wasm_factor ~rand_reads:300
+      ~cache_pages:64 Bench_db.Twine_rt Bench_db.File ~sizes:[ 500; 1500 ] ()
+  in
+  List.iter
+    (fun p ->
+      let pfx = Printf.sprintf "micro.twine.file.%d." p.Microbench.records in
+      put (Baseline.v ~tol:0.02 (pfx ^ "insert_ns") p.Microbench.insert_ns);
+      put (Baseline.v ~tol:0.02 (pfx ^ "seq_read_ns") p.Microbench.seq_read_ns);
+      put (Baseline.v ~tol:0.02 (pfx ^ "rand_read_ns") p.Microbench.rand_read_ns))
+    s.Microbench.points;
+  Ledger.snapshot (Machine.ledger machine)
+
+(* -- serving fleet: the gated 100k-request operating point -- *)
+let serve_gate (put : put) =
+  let open Twine_obs in
+  let open Twine_serve in
+  let s = Serve.run serve_gated_config in
+  put (Baseline.v ~tol:0.0 "serve.requests" s.Serve.requests);
+  put (Baseline.v ~tol:0.02 "serve.p50_ns" s.Serve.p50_ns);
+  put (Baseline.v ~tol:0.02 "serve.p99_ns" s.Serve.p99_ns);
+  put (Baseline.v ~tol:0.02 "serve.throughput_rps"
+         (int_of_float s.Serve.throughput_rps));
+  put (Baseline.v ~tol:0.02 "serve.batches" s.Serve.batches);
+  put (Baseline.v ~tol:0.02 "serve.ecalls" s.Serve.ecalls);
+  put (Baseline.v ~tol:0.02 "serve.transitions_per_request_x1000"
+         (int_of_float (s.Serve.transitions_per_request *. 1000.)));
+  put (Baseline.v ~tol:0.02 "serve.epc_faults" s.Serve.epc_faults);
+  put (Baseline.v ~tol:0.02 "serve.epc_evictions" s.Serve.epc_evictions);
+  (* per-request attribution: the residue is pinned at exactly zero —
+     the conservation invariant of the ledger-slicing layer *)
+  put (Baseline.v ~tol:0.0 "serve.blame.residue_ns"
+         s.Serve.attribution_residue_ns);
+  put (Baseline.v ~tol:0.02 "serve.blame.attributed_ns" s.Serve.attributed_ns);
+  put (Baseline.v ~tol:0.02 "serve.blame.unattributed_ns"
+         s.Serve.unattributed_ns);
+  put (Baseline.v ~tol:0.02 "serve.blame.cross_refaults" s.Serve.cross_refaults);
+  put (Baseline.v ~tol:0.02 "serve.sampler.samples" s.Serve.sampler_samples);
+  put (Baseline.v ~tol:0.02 "serve.sampler.queue_depth_hwm"
+         s.Serve.queue_depth_hwm);
+  (* fleet query-stats registry: one entry per statement shape, counts
+     and rows exact, cycle totals and sketch quantiles banded *)
+  List.iter
+    (fun (e : Twine_sqldb.Sqlstat.entry) ->
+      let open Twine_sqldb in
+      let pfx = "serve.sql." ^ e.Sqlstat.sq_label ^ "." in
+      put (Baseline.v ~tol:0.0 (pfx ^ "count") (Sqlstat.count e));
+      put (Baseline.v ~tol:0.0 (pfx ^ "rows") e.Sqlstat.sq_rows);
+      put (Baseline.v ~tol:0.02 (pfx ^ "exec_ns") e.Sqlstat.sq_exec_ns);
+      put (Baseline.v ~tol:0.02 (pfx ^ "pager_ns") e.Sqlstat.sq_pager_ns);
+      put (Baseline.v ~tol:0.02 (pfx ^ "p99_ns") (Sqlstat.quantile_ns e 0.99)))
+    (Twine_sqldb.Sqlstat.entries s.Serve.sqlstats_fleet);
+  (* the streaming SLO plane at the same operating point: the sketch
+     estimates ride the exact percentiles' 2% band (their alpha is
+     tighter than that), the verdict is pinned exactly *)
+  put (Baseline.v ~tol:0.02 "serve.slo.sketch_p50_ns" s.Serve.sketch_p50_ns);
+  put (Baseline.v ~tol:0.02 "serve.slo.sketch_p99_ns" s.Serve.sketch_p99_ns);
+  (match s.Serve.slo with
+  | None -> failwith "bench: gated serve config lost its SLO"
+  | Some (_, ev) ->
+      let fast, slow = alert_counts ev in
+      put (Baseline.v ~tol:0.0 "serve.slo.violated"
+             (if ev.Slo.ev_violated then 1 else 0));
+      put (Baseline.v ~tol:0.02 "serve.slo.windows" ev.Slo.ev_windows);
+      put (Baseline.v ~tol:0.02 "serve.slo.violating_windows"
+             (List.length ev.Slo.ev_violations));
+      put (Baseline.v ~tol:0.02 "serve.slo.overs" ev.Slo.ev_overs);
+      put (Baseline.v ~tol:0.02 "serve.slo.burn_x1000" ev.Slo.ev_burn_x1000);
+      put (Baseline.v ~tol:0.02 "serve.slo.fast_alerts" fast);
+      put (Baseline.v ~tol:0.02 "serve.slo.slow_alerts" slow));
+  List.iter
+    (fun (eid, v) ->
+      put (Baseline.v ~tol:0.02 (Printf.sprintf "serve.enclave.e%d.evictions" eid) v))
+    s.Serve.evictions_by_enclave;
+  List.iter
+    (fun (eid, v) ->
+      put (Baseline.v ~tol:0.02 (Printf.sprintf "serve.enclave.e%d.queue_hwm" eid) v))
+    s.Serve.queue_depth_hwm_by_enclave;
+  Ledger.snapshot (Machine.ledger s.Serve.machine)
+
+(* -- chaos: the fault-injected operating point (crash + capped
+   transient entry faults, deadlines, retries, depth shedding). The
+   extended conservation law — requests + idle + failover = booked —
+   is pinned at exactly zero; the crash rule fires once, so the
+   failover count is exact too. -- *)
+let chaos_gate (put : put) =
+  let open Twine_obs in
+  let open Twine_serve in
+  let s = Serve.run chaos_gated_config in
+  put (Baseline.v ~tol:0.0 "serve.chaos.residue_ns" s.Serve.attribution_residue_ns);
+  put (Baseline.v ~tol:0.0 "serve.chaos.failovers" s.Serve.failovers);
+  put (Baseline.v ~tol:0.02 "serve.chaos.goodput_rps" (int_of_float s.Serve.goodput_rps));
+  put (Baseline.v ~tol:0.02 "serve.chaos.availability_ppm" s.Serve.availability_ppm);
+  put (Baseline.v ~tol:0.02 "serve.chaos.served" s.Serve.served);
+  put (Baseline.v ~tol:0.02 "serve.chaos.shed" s.Serve.shed);
+  put (Baseline.v ~tol:0.02 "serve.chaos.timed_out" s.Serve.timed_out);
+  put (Baseline.v ~tol:0.02 "serve.chaos.failed" s.Serve.failed);
+  put (Baseline.v ~tol:0.02 "serve.chaos.retries" s.Serve.retries);
+  put (Baseline.v ~tol:0.02 "serve.chaos.recovery_p99_ns" s.Serve.recovery_p99_ns);
+  put (Baseline.v ~tol:0.02 "serve.chaos.failover_ns" s.Serve.failover_ns);
+  put (Baseline.v ~tol:0.02 "serve.chaos.p99_ns" s.Serve.p99_ns);
+  Ledger.snapshot (Machine.ledger s.Serve.machine)
+
+(* -- per-operator query observability: the serve shapes' operator
+   trees, every op's self-work pinned exactly, residue pinned at 0 -- *)
+let sql_gate (put : put) =
+  let open Twine_obs in
+  let open Twine_sqldb in
+  let t = sql_setup () in
+  let residue = ref 0 in
+  List.iter
+    (fun (name, sql) ->
+      let r, p = sql_profiled t name sql in
+      residue := !residue + abs (sql_profile_residue p);
+      let pfx = "sqldb." ^ name ^ "." in
+      put (Baseline.v ~tol:0.0 (pfx ^ "rows") (List.length r.Db.rows));
+      put (Baseline.v ~tol:0.0 (pfx ^ "total_work") p.Db.pr_total_work);
+      put (Baseline.v ~tol:0.0 (pfx ^ "overhead_work") p.Db.pr_overhead_work);
+      List.iter
+        (fun (o : Db.opstat) ->
+          let opfx = Printf.sprintf "%sop.%s." pfx o.Db.os_name in
+          put (Baseline.v ~tol:0.0 (opfx ^ "work") o.Db.os_work);
+          put (Baseline.v ~tol:0.0 (opfx ^ "rows_out") o.Db.os_rows_out))
+        p.Db.pr_ops)
+    sql_shapes;
+  (* the conservation law: zero residue, gated exactly *)
+  put (Baseline.v ~tol:0.0 "sqldb.op.residue_ns" !residue);
+  let obs = Bench_db.obs t in
+  List.iter
+    (fun k ->
+      put (Baseline.v ~tol:0.0 ("sqldb.plan." ^ k) (Obs.value obs ("sqldb.plan." ^ k))))
+    [ "full_scan"; "rowid_range"; "index_range"; "fallback" ];
+  (* booked before the close, which flushes the protected files *)
+  let snap = Ledger.snapshot (Machine.ledger t.Bench_db.machine) in
+  Bench_db.close t;
+  snap
+
+let gated =
+  [ ("report", report_gate); ("micro", micro_gate); ("serve", serve_gate);
+    ("chaos", chaos_gate); ("sql", sql_gate) ]
+
+(* Gated metrics outside any group: `bench check` has no ledger to
+   attribute their drift against. *)
+let ungrouped (put : put) =
+  let open Twine_obs in
+  (* -- protected-FS breakdown, stock vs optimised (§V-F) -- *)
+  List.iter
+    (fun variant ->
+      let b =
+        Microbench.ipfs_breakdown ~records:800 ~blob_bytes:256 ~samples:500
+          ~wasm_factor:baseline_wasm_factor variant
+      in
+      let name =
+        match variant with
+        | Twine_ipfs.Protected_fs.Stock -> "stock"
+        | Twine_ipfs.Protected_fs.Optimized -> "optimized"
+      in
+      let pfx = "ipfs." ^ name ^ "." in
+      put (Baseline.v ~tol:0.02 (pfx ^ "total_ns") b.Microbench.total_ns);
+      put (Baseline.v ~tol:0.02 (pfx ^ "memset_ns") b.Microbench.memset_ns);
+      put (Baseline.v ~tol:0.02 (pfx ^ "ocall_ns") b.Microbench.ocall_ns);
+      put (Baseline.v ~tol:0.02 (pfx ^ "read_ns") b.Microbench.read_ns);
+      put (Baseline.v ~tol:0.02 (pfx ^ "sqlite_ns") b.Microbench.sqlite_ns))
+    [ Twine_ipfs.Protected_fs.Stock; Twine_ipfs.Protected_fs.Optimized ];
+  (* -- PolyBench guest instruction totals: deterministic and
+     engine-equal, so exact -- *)
+  List.iter
+    (fun k ->
+      let w = Twine_polybench.Suite.run_wasm ~engine:`Aot k in
+      put
+        (Baseline.v ~tol:0.0
+           ("polybench." ^ k.Twine_polybench.Kernel_dsl.name ^ ".fuel")
+           w.Twine_polybench.Suite.fuel))
+    (List.filter
+       (fun k -> List.mem k.Twine_polybench.Kernel_dsl.name [ "atax"; "trisolv" ])
+       (Twine_polybench.Kernels.all ~scale:0.4 ()))
+
+(* The baseline, and per gated group the metric paths it emitted and its
+   ledger snapshot. *)
 let collect_baseline () =
   let open Twine_obs in
-  let metrics = ref [] in
-  let put m = metrics := m :: !metrics in
-  (* Gate the ledger itself: every account's booked total (band 2%, like
-     the other virtual-clock metrics) and the audit residue at exactly
-     zero, so any charge site that stops booking fails `bench check`. *)
-  let put_ledger group machine =
-    let l = Machine.ledger machine in
-    let a = Ledger.audit l in
-    let pfx = "ledger." ^ group ^ "." in
-    put (Baseline.v ~tol:0.0 (pfx ^ "residue_ns") a.Ledger.residue_ns);
-    put (Baseline.v ~tol:0.02 (pfx ^ "elapsed_ns") a.Ledger.elapsed_ns);
-    List.iter
-      (fun (name, e) -> put (Baseline.v ~tol:0.02 (pfx ^ name) e.Ledger.ns))
-      (Ledger.accounts l);
-    (group, Ledger.snapshot l)
+  let emitted run =
+    let metrics = ref [] in
+    let result = run (fun m -> metrics := m :: !metrics) in
+    (List.rev !metrics, result)
   in
-  (* -- the report workload: every instrumented layer in one run -- *)
-  let report_snap =
-    let machine = Machine.create ~seed:"report" ~epc_bytes:(32 * 4096) () in
-    let rt = Runtime.create machine in
-    Runtime.deploy rt (Twine_wasm.Wat.parse report_wat);
-    let r = Runtime.run rt in
-    let obs = machine.Machine.obs in
-    put (Baseline.v ~tol:0.0 "report.exit_code" r.Runtime.exit_code);
-    (* exact guest instruction count: deterministic in both engines, so
-       any drift is an engine regression that time bands would miss *)
-    put (Baseline.v ~tol:0.0 "report.fuel" r.Runtime.fuel);
-    put (Baseline.v ~tol:0.02 "report.virtual_ns" (Machine.now_ns machine));
-    List.iter
-      (fun k -> put (Baseline.v ~tol:0.0 ("report." ^ k) (Twine_obs.Obs.value obs k)))
-      [ "sgx.ecall"; "sgx.ocall"; "wasi.hostcall"; "epc.fault"; "epc.hit";
-        "epc.evict"; "ipfs.cache.hit"; "ipfs.cache.miss" ];
-    put_ledger "report" machine
-  in
-  (* -- SQLite micro-benchmark sweep, TWINE variant on a file DB -- *)
-  let micro_snap =
-    let machine = Machine.create ~seed:"baseline" () in
-    let s =
-      Microbench.sweep ~machine ~wasm_factor:baseline_wasm_factor ~rand_reads:300
-        ~cache_pages:64 Bench_db.Twine_rt Bench_db.File ~sizes:[ 500; 1500 ] ()
-    in
-    List.iter
-      (fun p ->
-        let pfx = Printf.sprintf "micro.twine.file.%d." p.Microbench.records in
-        put (Baseline.v ~tol:0.02 (pfx ^ "insert_ns") p.Microbench.insert_ns);
-        put (Baseline.v ~tol:0.02 (pfx ^ "seq_read_ns") p.Microbench.seq_read_ns);
-        put (Baseline.v ~tol:0.02 (pfx ^ "rand_read_ns") p.Microbench.rand_read_ns))
-      s.Microbench.points;
-    put_ledger "micro" machine
-  in
-  (* -- serving fleet: the gated 100k-request operating point -- *)
-  let serve_snap =
-    let s = Twine_serve.Serve.run serve_gated_config in
-    let open Twine_serve in
-    put (Baseline.v ~tol:0.0 "serve.requests" s.Serve.requests);
-    put (Baseline.v ~tol:0.02 "serve.p50_ns" s.Serve.p50_ns);
-    put (Baseline.v ~tol:0.02 "serve.p99_ns" s.Serve.p99_ns);
-    put (Baseline.v ~tol:0.02 "serve.throughput_rps"
-           (int_of_float s.Serve.throughput_rps));
-    put (Baseline.v ~tol:0.02 "serve.batches" s.Serve.batches);
-    put (Baseline.v ~tol:0.02 "serve.ecalls" s.Serve.ecalls);
-    put (Baseline.v ~tol:0.02 "serve.transitions_per_request_x1000"
-           (int_of_float (s.Serve.transitions_per_request *. 1000.)));
-    put (Baseline.v ~tol:0.02 "serve.epc_faults" s.Serve.epc_faults);
-    put (Baseline.v ~tol:0.02 "serve.epc_evictions" s.Serve.epc_evictions);
-    (* per-request attribution: the residue is pinned at exactly zero —
-       the conservation invariant of the ledger-slicing layer *)
-    put (Baseline.v ~tol:0.0 "serve.blame.residue_ns"
-           s.Serve.attribution_residue_ns);
-    put (Baseline.v ~tol:0.02 "serve.blame.attributed_ns" s.Serve.attributed_ns);
-    put (Baseline.v ~tol:0.02 "serve.blame.unattributed_ns"
-           s.Serve.unattributed_ns);
-    put (Baseline.v ~tol:0.02 "serve.blame.cross_refaults" s.Serve.cross_refaults);
-    put (Baseline.v ~tol:0.02 "serve.sampler.samples" s.Serve.sampler_samples);
-    put (Baseline.v ~tol:0.02 "serve.sampler.queue_depth_hwm"
-           s.Serve.queue_depth_hwm);
-    (* fleet query-stats registry: one entry per statement shape, counts
-       and rows exact, cycle totals and sketch quantiles banded *)
-    List.iter
-      (fun (e : Twine_sqldb.Sqlstat.entry) ->
-        let open Twine_sqldb in
-        let pfx = "serve.sql." ^ e.Sqlstat.sq_label ^ "." in
-        put (Baseline.v ~tol:0.0 (pfx ^ "count") (Sqlstat.count e));
-        put (Baseline.v ~tol:0.0 (pfx ^ "rows") e.Sqlstat.sq_rows);
-        put (Baseline.v ~tol:0.02 (pfx ^ "exec_ns") e.Sqlstat.sq_exec_ns);
-        put (Baseline.v ~tol:0.02 (pfx ^ "pager_ns") e.Sqlstat.sq_pager_ns);
-        put (Baseline.v ~tol:0.02 (pfx ^ "p99_ns") (Sqlstat.quantile_ns e 0.99)))
-      (Twine_sqldb.Sqlstat.entries s.Serve.sqlstats_fleet);
-    (* the streaming SLO plane at the same operating point: the sketch
-       estimates ride the exact percentiles' 2% band (their alpha is
-       tighter than that), the verdict is pinned exactly *)
-    put (Baseline.v ~tol:0.02 "serve.slo.sketch_p50_ns" s.Serve.sketch_p50_ns);
-    put (Baseline.v ~tol:0.02 "serve.slo.sketch_p99_ns" s.Serve.sketch_p99_ns);
-    (match s.Serve.slo with
-    | None -> failwith "bench: gated serve config lost its SLO"
-    | Some (_, ev) ->
-        let open Twine_obs.Slo in
-        let fast, slow =
-          List.fold_left
-            (fun (f, sl) a ->
-              match a.al_kind with `Fast -> (f + 1, sl) | `Slow -> (f, sl + 1))
-            (0, 0) ev.ev_alerts
+  let groups =
+    List.map
+      (fun (group, run) ->
+        let metrics, (snap : Ledger.snapshot) = emitted run in
+        let pfx = "ledger." ^ group ^ "." in
+        (* the ledger itself: every account's booked total (band 2%, like
+           the other virtual-clock metrics) and the audit residue at
+           exactly zero, so any charge site that stops booking fails
+           `bench check` *)
+        let ledger =
+          Baseline.v ~tol:0.0 (pfx ^ "residue_ns")
+            (snap.Ledger.elapsed_ns - snap.Ledger.booked_ns)
+          :: Baseline.v ~tol:0.02 (pfx ^ "elapsed_ns") snap.Ledger.elapsed_ns
+          :: List.map
+               (fun (name, e) -> Baseline.v ~tol:0.02 (pfx ^ name) e.Ledger.ns)
+               snap.Ledger.accounts
         in
-        put (Baseline.v ~tol:0.0 "serve.slo.violated"
-               (if ev.ev_violated then 1 else 0));
-        put (Baseline.v ~tol:0.02 "serve.slo.windows" ev.ev_windows);
-        put (Baseline.v ~tol:0.02 "serve.slo.violating_windows"
-               (List.length ev.ev_violations));
-        put (Baseline.v ~tol:0.02 "serve.slo.overs" ev.ev_overs);
-        put (Baseline.v ~tol:0.02 "serve.slo.burn_x1000" ev.ev_burn_x1000);
-        put (Baseline.v ~tol:0.02 "serve.slo.fast_alerts" fast);
-        put (Baseline.v ~tol:0.02 "serve.slo.slow_alerts" slow));
-    List.iter
-      (fun (eid, v) ->
-        put
-          (Baseline.v ~tol:0.02
-             (Printf.sprintf "serve.enclave.e%d.evictions" eid)
-             v))
-      s.Serve.evictions_by_enclave;
-    List.iter
-      (fun (eid, v) ->
-        put
-          (Baseline.v ~tol:0.02
-             (Printf.sprintf "serve.enclave.e%d.queue_hwm" eid)
-             v))
-      s.Serve.queue_depth_hwm_by_enclave;
-    put_ledger "serve" s.Serve.machine
+        (group, metrics @ ledger, snap))
+      gated
   in
-  (* -- chaos: the fault-injected operating point (crash + capped
-     transient entry faults, deadlines, retries, depth shedding). The
-     extended conservation law — requests + idle + failover = booked —
-     is pinned at exactly zero; the crash rule fires once, so the
-     failover count is exact too. -- *)
-  let chaos_snap =
-    let s = Twine_serve.Serve.run chaos_gated_config in
-    let open Twine_serve in
-    put (Baseline.v ~tol:0.0 "serve.chaos.residue_ns"
-           s.Serve.attribution_residue_ns);
-    put (Baseline.v ~tol:0.0 "serve.chaos.failovers" s.Serve.failovers);
-    put (Baseline.v ~tol:0.02 "serve.chaos.goodput_rps"
-           (int_of_float s.Serve.goodput_rps));
-    put (Baseline.v ~tol:0.02 "serve.chaos.availability_ppm"
-           s.Serve.availability_ppm);
-    put (Baseline.v ~tol:0.02 "serve.chaos.served" s.Serve.served);
-    put (Baseline.v ~tol:0.02 "serve.chaos.shed" s.Serve.shed);
-    put (Baseline.v ~tol:0.02 "serve.chaos.timed_out" s.Serve.timed_out);
-    put (Baseline.v ~tol:0.02 "serve.chaos.failed" s.Serve.failed);
-    put (Baseline.v ~tol:0.02 "serve.chaos.retries" s.Serve.retries);
-    put (Baseline.v ~tol:0.02 "serve.chaos.recovery_p99_ns"
-           s.Serve.recovery_p99_ns);
-    put (Baseline.v ~tol:0.02 "serve.chaos.failover_ns" s.Serve.failover_ns);
-    put (Baseline.v ~tol:0.02 "serve.chaos.p99_ns" s.Serve.p99_ns);
-    put_ledger "chaos" s.Serve.machine
-  in
-  (* -- per-operator query observability: the serve shapes' operator
-     trees, every op's self-work pinned exactly, residue pinned at 0 -- *)
-  let sql_snap =
-    let open Twine_sqldb in
-    let t = sql_setup () in
-    let residue = ref 0 in
-    List.iter
-      (fun (name, sql) ->
-        let r = Bench_db.exec t sql in
-        let p =
-          match Db.last_profile t.Bench_db.db with
-          | Some p -> p
-          | None -> failwith "bench: sql shape recorded no profile"
-        in
-        residue := !residue + abs (sql_profile_residue p);
-        let pfx = "sqldb." ^ name ^ "." in
-        put (Baseline.v ~tol:0.0 (pfx ^ "rows") (List.length r.Db.rows));
-        put (Baseline.v ~tol:0.0 (pfx ^ "total_work") p.Db.pr_total_work);
-        put (Baseline.v ~tol:0.0 (pfx ^ "overhead_work") p.Db.pr_overhead_work);
-        List.iter
-          (fun (o : Db.opstat) ->
-            let opfx = Printf.sprintf "%sop.%s." pfx o.Db.os_name in
-            put (Baseline.v ~tol:0.0 (opfx ^ "work") o.Db.os_work);
-            put (Baseline.v ~tol:0.0 (opfx ^ "rows_out") o.Db.os_rows_out))
-          p.Db.pr_ops)
-      sql_shapes;
-    (* the conservation law: zero residue, gated exactly *)
-    put (Baseline.v ~tol:0.0 "sqldb.op.residue_ns" !residue);
-    let obs = Bench_db.obs t in
-    List.iter
-      (fun k ->
-        put
-          (Baseline.v ~tol:0.0 ("sqldb.plan." ^ k)
-             (Obs.value obs ("sqldb.plan." ^ k))))
-      [ "full_scan"; "rowid_range"; "index_range"; "fallback" ];
-    let snap = put_ledger "sql" t.Bench_db.machine in
-    Bench_db.close t;
-    snap
-  in
-  (* -- protected-FS breakdown, stock vs optimised (§V-F) -- *)
-  let () =
-    List.iter
-      (fun variant ->
-        let b =
-          Microbench.ipfs_breakdown ~records:800 ~blob_bytes:256 ~samples:500
-            ~wasm_factor:baseline_wasm_factor variant
-        in
-        let name =
-          match variant with
-          | Twine_ipfs.Protected_fs.Stock -> "stock"
-          | Twine_ipfs.Protected_fs.Optimized -> "optimized"
-        in
-        let pfx = "ipfs." ^ name ^ "." in
-        put (Baseline.v ~tol:0.02 (pfx ^ "total_ns") b.Microbench.total_ns);
-        put (Baseline.v ~tol:0.02 (pfx ^ "memset_ns") b.Microbench.memset_ns);
-        put (Baseline.v ~tol:0.02 (pfx ^ "ocall_ns") b.Microbench.ocall_ns);
-        put (Baseline.v ~tol:0.02 (pfx ^ "read_ns") b.Microbench.read_ns);
-        put (Baseline.v ~tol:0.02 (pfx ^ "sqlite_ns") b.Microbench.sqlite_ns))
-      [ Twine_ipfs.Protected_fs.Stock; Twine_ipfs.Protected_fs.Optimized ]
-  in
-  (* -- PolyBench wall-clock spot checks (informational only) -- *)
-  let () =
-    List.iter
-      (fun k ->
-        let n = Twine_polybench.Suite.run_native k in
-        let w = Twine_polybench.Suite.run_wasm ~engine:`Aot k in
-        let pfx = "polybench." ^ k.Twine_polybench.Kernel_dsl.name ^ "." in
-        put (Baseline.v (pfx ^ "native_wall_ns") n.Twine_polybench.Suite.wall_ns);
-        put (Baseline.v (pfx ^ "aot_wall_ns") w.Twine_polybench.Suite.wall_ns);
-        (* exact: instruction totals are deterministic and engine-equal *)
-        put (Baseline.v ~tol:0.0 (pfx ^ "fuel") w.Twine_polybench.Suite.fuel))
-      (List.filter
-         (fun k ->
-           List.mem k.Twine_polybench.Kernel_dsl.name [ "atax"; "trisolv" ])
-         (Twine_polybench.Kernels.all ~scale:0.4 ()))
-  in
+  let others, () = emitted ungrouped in
   ( Baseline.create
       ~meta:
         [ ("generator", "bench/main.exe json");
           ("wasm_factor", string_of_float baseline_wasm_factor);
           ("note", "virtual-clock metrics; regenerate with: dune exec bench/main.exe -- json") ]
-      (List.rev !metrics),
-    [ report_snap; micro_snap; serve_snap; chaos_snap; sql_snap ] )
+      (List.concat_map (fun (_, m, _) -> m) groups @ others),
+    List.map (fun (group, m, snap) -> (group, List.map fst m, snap)) groups )
 
 let default_baseline_file = "BENCH_twine.json"
 
@@ -1732,7 +1615,7 @@ let snapshot_of_baseline group (b : Twine_obs.Baseline.t) =
         }
 
 let bench_json file =
-  let b, _snaps = collect_baseline () in
+  let b, _groups = collect_baseline () in
   let oc = open_out file in
   output_string oc (Twine_obs.Baseline.to_string b);
   output_char oc '\n';
@@ -1745,9 +1628,9 @@ let bench_json file =
    account, then by hot guest function within the top accounts. *)
 let bench_diff file =
   let baseline = load_baseline ~cmd:"diff" file in
-  let _current, snaps = collect_baseline () in
+  let _current, groups = collect_baseline () in
   List.iter
-    (fun (group, current) ->
+    (fun (group, _, current) ->
       Printf.printf "\n-- %s workload vs %s --\n" group file;
       match snapshot_of_baseline group baseline with
       | None ->
@@ -1755,11 +1638,11 @@ let bench_diff file =
             "no ledger.%s.* metrics in the baseline; regenerate it with `bench json`\n"
             group
       | Some base -> print_string (Twine_obs.Ledger.render_diff ~base ~current ()))
-    snaps
+    groups
 
 let bench_check file =
   let baseline = load_baseline ~cmd:"check" file in
-  let current, snaps = collect_baseline () in
+  let current, groups = collect_baseline () in
   let verdicts = Twine_obs.Baseline.check ~baseline ~current in
   print_string (Twine_obs.Baseline.render verdicts);
   if Twine_obs.Baseline.all_ok verdicts then begin
@@ -1775,19 +1658,18 @@ let bench_check file =
       (fun v -> Printf.printf "  - %s\n" v.Twine_obs.Baseline.path)
       failed;
     (* Explain each failure from the ledger where we can: a drifted
-       metric of the report/micro workloads gets the ranked account
-       attribution of that workload's delta. *)
+       metric gets the ranked account attribution of the group that
+       emitted it (a ledger account missing from this run still names
+       its group). *)
     let group_of path =
-      let has pfx =
-        String.length path >= String.length pfx
-        && String.sub path 0 (String.length pfx) = pfx
-      in
-      if has "report." || has "ledger.report." then Some "report"
-      else if has "micro." || has "ledger.micro." then Some "micro"
-      else if has "serve.chaos." || has "ledger.chaos." then Some "chaos"
-      else if has "serve." || has "ledger.serve." then Some "serve"
-      else if has "sqldb." || has "ledger.sql." then Some "sql"
-      else None
+      List.find_map
+        (fun (group, paths, _) ->
+          if
+            List.mem path paths
+            || String.starts_with ~prefix:("ledger." ^ group ^ ".") path
+          then Some group
+          else None)
+        groups
     in
     let blamed =
       List.sort_uniq compare
@@ -1798,13 +1680,12 @@ let bench_check file =
     in
     List.iter
       (fun group ->
-        match
-          (snapshot_of_baseline group baseline, List.assoc_opt group snaps)
-        with
-        | Some base, Some current ->
+        let _, _, current = List.find (fun (g, _, _) -> g = group) groups in
+        match snapshot_of_baseline group baseline with
+        | Some base ->
             Printf.printf "\nwhere the %s workload's time moved:\n" group;
             print_string (Twine_obs.Ledger.render_diff ~base ~current ())
-        | _ ->
+        | None ->
             Printf.printf
               "\n(no ledger.%s.* metrics in the baseline to attribute the %s drift)\n"
               group group)
@@ -1817,47 +1698,51 @@ let bench_check file =
   end
 
 (* ------------------------------------------------------------------ *)
+(* The sections: `bench NAME` runs one, no argument runs all in order  *)
+(* ------------------------------------------------------------------ *)
+
+let sections =
+  [ ("fig3", "PolyBench/C normalised to native (native / WAMR / TWINE)", fig3);
+    ("fig4", "SQLite Speedtest1 relative performance (4 systems, mem and file)", fig4);
+    ("fig5", "insert / sequential / random read time vs database size", fig5);
+    ("table2", "normalised run times split at the EPC boundary", table2);
+    ("fig6", "SGX hardware vs software mode", fig6);
+    ("fig7", "protected-FS time breakdown, stock vs optimised (§V-F)", fig7);
+    ("table3", "cost factors (times and sizes)", table3);
+    ("ablate", "page-cache and IPFS node-cache size ablations", ablate);
+    ("report", "per-run telemetry report of a WASI-heavy workload", report);
+    ("profile", "guest profiler: hot functions, interp-vs-AoT parity, folded stacks",
+     profile_section);
+    ("crash", "crash matrix: every backing-op prefix recovers to a commit",
+     crash_section);
+    ("serve", "multi-enclave fleet: gated point, EPC cliff, ECALL batching",
+     serve_section);
+    ("chaos", "seeded fault schedules: failover, retry, shedding, replay", chaos_section);
+    ("sql", "per-operator query observability (EXPLAIN ANALYZE)", sql_section) ]
+
+let usage () =
+  prerr_endline
+    "usage: bench/main.exe [SECTION | json [FILE] | check [FILE] | diff [FILE]]";
+  prerr_endline "sections (no argument runs them all, in this order):";
+  List.iter (fun (name, doc, _) -> Printf.eprintf "  %-8s %s\n" name doc) sections
 
 let () =
-  let argv1 = if Array.length Sys.argv > 1 then Some Sys.argv.(1) else None in
-  let argv2 = if Array.length Sys.argv > 2 then Some Sys.argv.(2) else None in
-  (match argv1 with
-  | Some "json" ->
-      bench_json (Option.value argv2 ~default:default_baseline_file);
-      exit 0
-  | Some "check" -> bench_check (Option.value argv2 ~default:default_baseline_file)
-  | Some "diff" ->
-      bench_diff (Option.value argv2 ~default:default_baseline_file);
-      exit 0
-  | _ -> ());
-  let only = argv1 in
-  let want name = match only with None -> true | Some o -> o = name in
-  Printf.printf "TWINE reproduction bench harness (simulated SGX; see DESIGN.md)\n";
-  if want "fig3" then audited "fig3" fig3;
-  if want "fig4" then audited "fig4" fig4;
-  if want "fig5" || want "table2" then
-    audited "fig5/table2" (fun () ->
-        let series = fig5_series () in
-        if want "fig5" then begin
-          print_fig5 series `Insert
-            "Fig 5a: insertion time vs database size (ms, simulated)";
-          print_fig5 series `Seq
-            "Fig 5b: sequential-read time vs database size (ms, simulated)";
-          print_fig5 series `Rand
-            (Printf.sprintf
-               "Fig 5c: random-read time (one read per record, cap %d) vs size (ms, simulated)"
-               fig5_rand_reads)
-        end;
-        table2 series);
-  if want "fig6" then audited "fig6" fig6;
-  if want "fig7" then audited "fig7" fig7;
-  if want "table3" then audited "table3" table3;
-  if want "ablate" then audited "ablate" ablate;
-  if want "micro" then bechamel_suite ();
-  if want "report" then audited "report" report;
-  if want "profile" then audited "profile" profile_section;
-  if want "crash" then audited "crash" crash_section;
-  if want "serve" then audited "serve" serve_section;
-  if want "chaos" then audited "chaos" chaos_section;
-  if want "sql" then audited "sql" sql_section;
-  Printf.printf "\ndone.\n"
+  let arg i = if Array.length Sys.argv > i then Some Sys.argv.(i) else None in
+  let file () = Option.value (arg 2) ~default:default_baseline_file in
+  let run_sections chosen =
+    print_endline "TWINE reproduction bench harness (simulated SGX; see DESIGN.md)";
+    List.iter (fun (name, _, run) -> audited name run) chosen;
+    Printf.printf "\ndone.\n"
+  in
+  match arg 1 with
+  | Some "json" -> bench_json (file ())
+  | Some "check" -> bench_check (file ())
+  | Some "diff" -> bench_diff (file ())
+  | None -> run_sections sections
+  | Some name -> (
+      match List.filter (fun (n, _, _) -> n = name) sections with
+      | [] ->
+          Printf.eprintf "bench: unknown section %S\n" name;
+          usage ();
+          exit 2
+      | chosen -> run_sections chosen)

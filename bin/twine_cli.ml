@@ -210,19 +210,19 @@ let run_cmd =
 let serve_cmd =
   let default = Twine_serve.Serve.default_config in
   let enclaves =
-    Arg.(value & opt int 8 & info [ "enclaves" ] ~docv:"N"
+    Arg.(value & opt int default.enclaves & info [ "enclaves" ] ~docv:"N"
            ~doc:"Fleet size: enclaves sharing one machine (and one EPC).")
   in
   let requests =
-    Arg.(value & opt int 100_000 & info [ "requests" ] ~docv:"N"
+    Arg.(value & opt int default.requests & info [ "requests" ] ~docv:"N"
            ~doc:"Synthetic client requests to replay.")
   in
   let batch =
-    Arg.(value & opt int 16 & info [ "batch" ] ~docv:"N"
+    Arg.(value & opt int default.batch & info [ "batch" ] ~docv:"N"
            ~doc:"Max requests coalesced behind one ECALL (1 = unbatched).")
   in
   let seed =
-    Arg.(value & opt string "twine-serve" & info [ "seed" ] ~docv:"SEED"
+    Arg.(value & opt string default.seed & info [ "seed" ] ~docv:"SEED"
            ~doc:"Workload seed; the same seed replays byte-identically.")
   in
   let epc_kib =
@@ -302,7 +302,7 @@ let serve_cmd =
                  the same spec and seed replay byte-identically.")
   in
   let deadline_ns =
-    Arg.(value & opt int 0 & info [ "deadline-ns" ] ~docv:"NS"
+    Arg.(value & opt int default.deadline_ns & info [ "deadline-ns" ] ~docv:"NS"
            ~doc:"Client deadline: a request still unserved $(docv) virtual \
                  ns after arrival completes as timed out (0 = off).")
   in
@@ -318,7 +318,7 @@ let serve_cmd =
                  base.")
   in
   let shed_depth =
-    Arg.(value & opt int 0 & info [ "shed-depth" ] ~docv:"N"
+    Arg.(value & opt int default.shed_depth & info [ "shed-depth" ] ~docv:"N"
            ~doc:"Admission control: shed an arrival whose enclave queue \
                  already holds $(docv) live requests (0 = off).")
   in

@@ -1,11 +1,13 @@
 (* The twine CLI as a user meets it: every subcommand's --help renders
    without cmdliner markup errors, bad arguments exit 2 with a message
-   naming the cause, and `twine serve` artifacts replay byte-identically.
-   Runs the built binary as a subprocess. *)
+   naming the cause, and `twine serve` artifacts replay byte-identically
+   (chaos schedules included). Also checks the bench harness's section
+   dispatch. Runs the built binaries as subprocesses. *)
 
 open Twine_obs
 
 let cli = "../bin/twine_cli.exe"
+let bench = "../bench/main.exe"
 
 let contains haystack needle =
   let hl = String.length haystack and nl = String.length needle in
@@ -13,15 +15,17 @@ let contains haystack needle =
   go 0
 
 (* (exit code, stdout, stderr) *)
-let run args =
+let run_exe exe args =
   let out = Filename.temp_file "twine-cli" ".out" in
   let err = Filename.temp_file "twine-cli" ".err" in
-  let code = Sys.command (Filename.quote_command cli ~stdout:out ~stderr:err args) in
+  let code = Sys.command (Filename.quote_command exe ~stdout:out ~stderr:err args) in
   let read f = In_channel.with_open_bin f In_channel.input_all in
   let o = read out and e = read err in
   Sys.remove out;
   Sys.remove err;
   (code, o, e)
+
+let run = run_exe cli
 
 let subcommands = [ "diff"; "inspect"; "run"; "serve"; "sql"; "validate"; "wat2wasm" ]
 
@@ -49,13 +53,18 @@ let test_serve_help_defaults () =
   let _, out, _ = run [ "serve"; "--help=plain" ] in
   let d = Twine_serve.Serve.default_config in
   List.iter
-    (fun (flag, v) ->
-      Alcotest.(check bool) (flag ^ " shows its default") true
-        (contains out (Printf.sprintf "%s=NS (absent=%d)" flag v)
-        || contains out (Printf.sprintf "%s=N (absent=%d)" flag v)))
-    [ ("--mean-gap-ns", d.Twine_serve.Serve.mean_gap_ns);
-      ("--retries", d.retries);
-      ("--backoff", d.backoff_ns) ]
+    (fun (flag, docv, v) ->
+      let shown = Printf.sprintf "%s=%s (absent=%s)" flag docv v in
+      Alcotest.(check bool) (shown ^ " shown") true (contains out shown))
+    [ ("--enclaves", "N", string_of_int d.Twine_serve.Serve.enclaves);
+      ("--requests", "N", string_of_int d.requests);
+      ("--batch", "N", string_of_int d.batch);
+      ("--seed", "SEED", d.seed);
+      ("--mean-gap-ns", "NS", string_of_int d.mean_gap_ns);
+      ("--deadline-ns", "NS", string_of_int d.deadline_ns);
+      ("--retries", "N", string_of_int d.retries);
+      ("--backoff", "NS", string_of_int d.backoff_ns);
+      ("--shed-depth", "N", string_of_int d.shed_depth) ]
 
 let read_file f = In_channel.with_open_bin f In_channel.input_all
 
@@ -116,6 +125,54 @@ let test_sqlstats_retained_vs_stream () =
   Alcotest.(check int) "enclave registries count every request" 5000
     (List.fold_left (fun a s -> a + counted s) 0 per_enclave)
 
+(* one seeded enclave crash with deadlines and retries: the failover
+   path replays byte-identically, with blame attached or not, and a
+   --stream run (no retention) gives the same SLO artifact *)
+let test_chaos_replay () =
+  let chaos_run extra =
+    let ledger = Filename.temp_file "twine-chaos" ".ledger.json" in
+    let slo = Filename.temp_file "twine-chaos" ".slo.json" in
+    let code, _, err =
+      run
+        ([ "serve"; "--enclaves"; "4"; "--requests"; "20000"; "--chaos";
+           "seed=ci;enclave.ecall=crash@200"; "--deadline-ns"; "40000000";
+           "--retries"; "3"; "--backoff"; "50000"; "--ledger"; ledger;
+           "--slo-out"; slo ]
+        @ extra)
+    in
+    let artifacts = (read_file ledger, read_file slo) in
+    Sys.remove ledger;
+    Sys.remove slo;
+    (code, err, artifacts)
+  in
+  let code_a, err_a, (ledger_a, slo_a) = chaos_run [ "--blame"; "--top"; "5" ] in
+  let code_b, err_b, (ledger_b, slo_b) = chaos_run [] in
+  let code_c, err_c, (_, slo_c) = chaos_run [ "--stream" ] in
+  Alcotest.(check int) ("run A (blame) exits 0: " ^ err_a) 0 code_a;
+  Alcotest.(check int) ("run B exits 0: " ^ err_b) 0 code_b;
+  Alcotest.(check int) ("run C (stream) exits 0: " ^ err_c) 0 code_c;
+  Alcotest.(check bool) "ledger is non-empty" true (String.length ledger_a > 0);
+  Alcotest.(check bool) "ledger A = B byte-for-byte" true (ledger_a = ledger_b);
+  Alcotest.(check bool) "SLO artifact A = B byte-for-byte" true (slo_a = slo_b);
+  Alcotest.(check bool) "SLO artifact A = stream C byte-for-byte" true (slo_a = slo_c)
+
+(* every section the bench harness knows *)
+let bench_sections =
+  [ "fig3"; "fig4"; "fig5"; "table2"; "fig6"; "fig7"; "table3"; "ablate";
+    "report"; "profile"; "crash"; "serve"; "chaos"; "sql" ]
+
+(* an unknown bench section is a usage error that lists the real ones,
+   not a silent run of nothing *)
+let test_bench_unknown_section () =
+  let code, out, err = run_exe bench [ "nosuch" ] in
+  Alcotest.(check int) "exit 2" 2 code;
+  Alcotest.(check string) "nothing on stdout" "" out;
+  List.iter
+    (fun name ->
+      Alcotest.(check bool) ("stderr names " ^ name) true
+        (contains err ("\n  " ^ name ^ " ")))
+    bench_sections
+
 let test_malformed_chaos () =
   List.iter
     (fun spec ->
@@ -145,5 +202,11 @@ let () =
           Alcotest.test_case "replay determinism" `Quick test_replay_ledger;
           Alcotest.test_case "query-stats retained vs stream" `Quick
             test_sqlstats_retained_vs_stream;
+          Alcotest.test_case "chaos replay determinism" `Quick test_chaos_replay;
+        ] );
+      ( "bench",
+        [
+          Alcotest.test_case "unknown section exits 2" `Quick
+            test_bench_unknown_section;
         ] );
     ]
