@@ -508,10 +508,9 @@ let ablate () =
       let drbg = Twine_crypto.Drbg.create ~seed:"abl" () in
       let buf = Bytes.create 64 in
       let t0 = Machine.now_ns machine in
+      (* transition events: two per OCALL round trip *)
       let ocall_charges () =
-        match Twine_obs.Obs.hstat machine.Machine.obs "ipfs.ocall" with
-        | Some h -> h.Twine_obs.Obs.count
-        | None -> 0
+        Twine_obs.Ledger.events (Machine.ledger machine) "sgx.transition.ocall"
       in
       let oc0 = ocall_charges () in
       for _ = 1 to 2000 do
@@ -533,7 +532,7 @@ let ablate () =
    rewind, 64 reads back. Exercises every instrumented layer at once —
    WASI hostcalls, IPFS node cache + crypto, EPC paging of the guest
    linear memory (the machine's EPC is shrunk so the working set does
-   not fit), and the single run ECALL with its spans. *)
+   not fit), and the single run ECALL. *)
 let report_wat =
   {|(module
       (import "wasi_snapshot_preview1" "path_open"

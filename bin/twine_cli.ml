@@ -21,6 +21,14 @@ let load_module path =
   then Twine_wasm.Binary.decode content
   else Twine_wasm.Wat.parse content
 
+(* Write [contents] to [file]; on failure report "cannot write [what]"
+   and exit 2, the CLI's I/O-error code. *)
+let write_or_exit ~cmd what file contents =
+  try Out_channel.with_open_text file (fun oc -> output_string oc contents)
+  with Sys_error msg ->
+    Printf.eprintf "%s: cannot write %s: %s\n" cmd what msg;
+    exit 2
+
 let path_arg =
   Arg.(required & pos 0 (some file) None & info [] ~docv:"MODULE" ~doc:"Wasm module (.wat or .wasm)")
 
@@ -119,18 +127,15 @@ let run_cmd =
       Twine.Runtime.deploy rt module_;
       let write_wasm_profile () =
         match (profile_wasm, prof) with
-        | Some file, Some p -> (
-            try
-              Twine_obs.Trace_export.folded_to_file p file;
-              prerr_string (Twine_obs.Report.profile_table p);
-              Printf.eprintf "twine: wasm profile: %d instruction(s) over %d function(s); \
-                              folded stacks in %s\n"
-                (Twine_obs.Profile.total_fuel p)
-                (List.length (Twine_obs.Profile.functions p))
-                file
-            with Sys_error msg ->
-              Printf.eprintf "twine: cannot write wasm profile: %s\n" msg;
-              exit 2)
+        | Some file, Some p ->
+            write_or_exit ~cmd:"twine" "wasm profile" file
+              (Twine_obs.Trace_export.folded p);
+            prerr_string (Twine_obs.Report.profile_table p);
+            Printf.eprintf "twine: wasm profile: %d instruction(s) over %d function(s); \
+                            folded stacks in %s\n"
+              (Twine_obs.Profile.total_fuel p)
+              (List.length (Twine_obs.Profile.functions p))
+              file
         | _ -> ()
       in
       let r =
@@ -145,6 +150,7 @@ let run_cmd =
           exit 134
       in
       print_string r.Twine.Runtime.stdout;
+      let ledger = Twine_sgx.Machine.ledger machine in
       if stats then begin
         Printf.eprintf "-- twine stats --\n";
         Printf.eprintf "exit code:            %d\n" r.Twine.Runtime.exit_code;
@@ -156,46 +162,29 @@ let run_cmd =
           (float_of_int (Twine_sgx.Machine.now_ns machine) /. 1e6);
         prerr_newline ();
         prerr_string
-          (Twine_obs.Report.render ?profile:prof
-             ~ledger:(Twine_sgx.Machine.ledger machine)
+          (Twine_obs.Report.render ?profile:prof ~ledger
              machine.Twine_sgx.Machine.obs)
       end;
       write_wasm_profile ();
-      (match profile with
-      | Some file -> (
-          try
-            let oc = open_out file in
-            output_string oc
-              (Twine_obs.Report.to_json ?profile:prof machine.Twine_sgx.Machine.obs);
-            output_char oc '\n';
-            close_out oc
-          with Sys_error msg ->
-            Printf.eprintf "twine: cannot write profile: %s\n" msg;
-            exit 2)
-      | None -> ());
-      (match ledger_out with
-      | Some file -> (
-          try
-            let oc = open_out file in
-            output_string oc
-              (Twine_obs.Ledger.to_string
-                 (Twine_obs.Ledger.snapshot (Twine_sgx.Machine.ledger machine)));
-            output_char oc '\n';
-            close_out oc;
-            Printf.eprintf "twine: ledger written to %s\n" file
-          with Sys_error msg ->
-            Printf.eprintf "twine: cannot write ledger: %s\n" msg;
-            exit 2)
-      | None -> ());
+      Option.iter
+        (fun file ->
+          write_or_exit ~cmd:"twine" "profile" file
+            (Twine_obs.Report.to_json ?profile:prof ~ledger
+               machine.Twine_sgx.Machine.obs
+            ^ "\n"))
+        profile;
+      Option.iter
+        (fun file ->
+          write_or_exit ~cmd:"twine" "ledger" file
+            (Twine_obs.Ledger.to_string (Twine_obs.Ledger.snapshot ledger) ^ "\n");
+          Printf.eprintf "twine: ledger written to %s\n" file)
+        ledger_out;
       (match (trace, tracer) with
-      | Some file, Some tr -> (
-          try
-            Twine_obs.Trace_export.to_file ~process_name:"twine-sim" tr file;
-            Printf.eprintf "twine: trace: %d event(s) written to %s (%d dropped)\n"
-              (Twine_obs.Trace.length tr) file (Twine_obs.Trace.dropped tr)
-          with Sys_error msg ->
-            Printf.eprintf "twine: cannot write trace: %s\n" msg;
-            exit 2)
+      | Some file, Some tr ->
+          write_or_exit ~cmd:"twine" "trace" file
+            (Twine_obs.Trace_export.to_string ~process_name:"twine-sim" tr ^ "\n");
+          Printf.eprintf "twine: trace: %d event(s) written to %s (%d dropped)\n"
+            (Twine_obs.Trace.length tr) file (Twine_obs.Trace.dropped tr)
       | _ -> ());
       exit r.Twine.Runtime.exit_code
     end
@@ -232,7 +221,10 @@ let serve_cmd =
   let trace =
     Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE"
            ~doc:"Record the serving phase in the flight recorder and write \
-                 Chrome trace-event JSON (loadable in ui.perfetto.dev) to $(docv).")
+                 Chrome trace-event JSON (loadable in ui.perfetto.dev) to \
+                 $(docv), with per-enclave request tracks and the sampler's \
+                 counter series (queue depth, EPC residency, completed \
+                 requests) named for Perfetto's track view.")
   in
   let ledger_out =
     Arg.(value & opt (some string) None & info [ "ledger" ] ~docv:"FILE"
@@ -249,12 +241,6 @@ let serve_cmd =
   let top =
     Arg.(value & opt int 10 & info [ "top" ] ~docv:"N"
            ~doc:"How many tail requests $(b,--blame) ranks (default 10).")
-  in
-  let timeline =
-    Arg.(value & opt (some string) None & info [ "timeline" ] ~docv:"FILE"
-           ~doc:"Like $(b,--trace), but with per-enclave request tracks and \
-                 the sampler's counter series (queue depth, EPC residency, \
-                 completed requests) named for Perfetto's track view.")
   in
   let mean_gap_ns =
     Arg.(value & opt int default.mean_gap_ns & info [ "mean-gap-ns" ] ~docv:"NS"
@@ -332,7 +318,7 @@ let serve_cmd =
                  $(b,--stream) runs.")
   in
   let run enclaves requests batch seed epc_kib trace ledger_out blame top
-      timeline mean_gap_ns mix stream slo slo_out chaos deadline_ns retries
+      mean_gap_ns mix stream slo slo_out chaos deadline_ns retries
       backoff shed_depth sql_stats =
     if enclaves <= 0 || batch <= 0 || requests < 0 then begin
       prerr_endline "twine serve: --enclaves and --batch must be positive, --requests non-negative";
@@ -428,7 +414,7 @@ let serve_cmd =
     end;
     let tracer = ref None in
     let prepare m =
-      if trace <> None || timeline <> None then
+      if trace <> None then
         tracer := Some (Twine_sgx.Machine.attach_tracer m)
     in
     let stats = Twine_serve.Serve.run ~prepare cfg in
@@ -451,62 +437,39 @@ let serve_cmd =
         stats.Twine_serve.Serve.attribution_residue_ns;
       exit 1
     end;
-    (match ledger_out with
-    | Some file -> (
-        try
-          let oc = open_out file in
-          output_string oc (Twine_obs.Ledger.to_string stats.Twine_serve.Serve.ledger);
-          output_char oc '\n';
-          close_out oc;
-          Printf.eprintf "twine serve: ledger written to %s\n" file
-        with Sys_error msg ->
-          Printf.eprintf "twine serve: cannot write ledger: %s\n" msg;
-          exit 2)
-    | None -> ());
-    let write_trace file threads =
-      match !tracer with
-      | Some tr -> (
-          try
-            Twine_obs.Trace_export.to_file ~process_name:"twine-serve" ?threads
-              tr file;
-            Printf.eprintf
-              "twine serve: trace: %d event(s) written to %s (%d dropped, \
-               high water %d)\n"
-              (Twine_obs.Trace.length tr) file (Twine_obs.Trace.dropped tr)
-              (Twine_obs.Trace.high_water tr)
-          with Sys_error msg ->
-            Printf.eprintf "twine serve: cannot write trace: %s\n" msg;
-            exit 2)
-      | None -> ()
+    let write = write_or_exit ~cmd:"twine serve" in
+    Option.iter
+      (fun file ->
+        write "ledger" file
+          (Twine_obs.Ledger.to_string stats.Twine_serve.Serve.ledger ^ "\n");
+        Printf.eprintf "twine serve: ledger written to %s\n" file)
+      ledger_out;
+    (match (trace, !tracer) with
+    | Some file, Some tr ->
+        write "trace" file
+          (Twine_obs.Trace_export.to_string ~process_name:"twine-serve"
+             ~threads:(Twine_serve.Serve.threads stats) tr
+          ^ "\n");
+        Printf.eprintf
+          "twine serve: trace: %d event(s) written to %s (%d dropped, \
+           high water %d)\n"
+          (Twine_obs.Trace.length tr) file (Twine_obs.Trace.dropped tr)
+          (Twine_obs.Trace.high_water tr)
+    | _ -> ());
+    let artifact what schema file contents =
+      write what file contents;
+      Printf.eprintf "twine serve: %s artifact written to %s\n" schema file
     in
-    (match trace with Some file -> write_trace file None | None -> ());
-    (match timeline with
-    | Some file -> write_trace file (Some (Twine_serve.Serve.threads stats))
-    | None -> ());
-    (match slo_out with
-    | Some file -> (
-        try
-          let oc = open_out file in
-          output_string oc (Twine_serve.Serve.render_slo stats);
-          close_out oc;
-          Printf.eprintf "twine serve: %s artifact written to %s\n"
-            Twine_serve.Serve.slo_schema file
-        with Sys_error msg ->
-          Printf.eprintf "twine serve: cannot write slo artifact: %s\n" msg;
-          exit 2)
-    | None -> ());
-    (match sql_stats with
-    | Some file -> (
-        try
-          let oc = open_out file in
-          output_string oc (Twine_serve.Serve.render_sqlstats stats);
-          close_out oc;
-          Printf.eprintf "twine serve: %s artifact written to %s\n"
-            Twine_serve.Serve.sqlstats_schema file
-        with Sys_error msg ->
-          Printf.eprintf "twine serve: cannot write sql-stats artifact: %s\n" msg;
-          exit 2)
-    | None -> ());
+    Option.iter
+      (fun file ->
+        artifact "slo artifact" Twine_serve.Serve.slo_schema file
+          (Twine_serve.Serve.render_slo stats))
+      slo_out;
+    Option.iter
+      (fun file ->
+        artifact "sql-stats artifact" Twine_serve.Serve.sqlstats_schema file
+          (Twine_serve.Serve.render_sqlstats stats))
+      sql_stats;
     (match stats.Twine_serve.Serve.slo with
     | Some (spec, ev) when ev.Twine_obs.Slo.ev_violated ->
         Printf.eprintf "twine serve: SLO VIOLATED: %s (%d/%d over threshold)\n"
@@ -535,7 +498,7 @@ let serve_cmd =
              attribution-residue failure, 2 bad arguments or I/O error \
              (including $(b,--blame) with $(b,--stream)), 3 SLO violated.")
     Term.(const run $ enclaves $ requests $ batch $ seed $ epc_kib $ trace
-          $ ledger_out $ blame $ top $ timeline $ mean_gap_ns $ mix $ stream
+          $ ledger_out $ blame $ top $ mean_gap_ns $ mix $ stream
           $ slo $ slo_out $ chaos $ deadline_ns $ retries $ backoff
           $ shed_depth $ sql_stats)
 

@@ -75,9 +75,9 @@ let obs t = (machine t).Machine.obs
 let in_enclave t f =
   if Enclave.inside t.enclave then f () else Enclave.ecall t.enclave (fun _ -> f ())
 
-let charge_untrusted_io t ?(account = "ipfs.io") label n =
+let charge_untrusted_io t ?(account = "ipfs.io") n =
   let m = machine t in
-  Machine.charge m ~account label
+  Machine.charge m account
     (m.costs.untrusted_io_base_ns + Costs.bytes_ns m.costs.untrusted_io_ns_per_byte n)
 
 let charge_crypto t n =
@@ -205,8 +205,7 @@ let journal_begin file =
     put_u32 b 0;
     let hdr = Buffer.contents b in
     Enclave.ocall fs.enclave ~name:"ipfs.ocall" (fun () ->
-        charge_untrusted_io fs ~account:"ipfs.journal" "ipfs.journal"
-          (String.length hdr);
+        charge_untrusted_io fs ~account:"ipfs.journal" (String.length hdr);
         Backing.write fs.backing jp ~pos:0 hdr);
     file.jrnl_started <- true;
     file.jrnl_count <- 0
@@ -224,8 +223,7 @@ let journal_node file idx =
     let entry_pos = 16 + (file.jrnl_count * jrnl_stride) in
     Enclave.ocall fs.enclave ~name:"ipfs.ocall" (fun () ->
         (* ciphertext-to-ciphertext, entirely in untrusted memory *)
-        charge_untrusted_io fs ~account:"ipfs.journal" "ipfs.journal"
-          (2 * node_size) ;
+        charge_untrusted_io fs ~account:"ipfs.journal" (2 * node_size);
         let old_ct =
           Backing.read fs.backing file.path ~pos:(idx * node_size) ~len:node_size
         in
@@ -250,7 +248,7 @@ let journal_end file =
   if file.jrnl_started then begin
     let fs = file.fs in
     Enclave.ocall fs.enclave ~name:"ipfs.ocall" (fun () ->
-        charge_untrusted_io fs ~account:"ipfs.journal" "ipfs.journal" 16;
+        charge_untrusted_io fs ~account:"ipfs.journal" 16;
         ignore (Backing.delete fs.backing (journal_path file.path)));
     file.jrnl_started <- false;
     file.jrnl_count <- 0
@@ -271,9 +269,9 @@ let write_back file idx (node : node) =
   e.iv <- iv;
   e.tag <- tag;
   e.present <- true;
-  Enclave.copy_out fs.enclave ~label:"ipfs.write" node_size;
+  Enclave.copy_out fs.enclave node_size;
   Enclave.ocall fs.enclave ~name:"ipfs.ocall" (fun () ->
-      charge_untrusted_io fs "ipfs.write" node_size;
+      charge_untrusted_io fs node_size;
       Backing.write fs.backing file.path ~pos:(idx * node_size) ct);
   node.dirty <- false
 
@@ -281,7 +279,7 @@ let evict file (idx, node) =
   if node.dirty then write_back file idx node;
   (* Stock IPFS clears the plaintext buffer of dropped nodes. *)
   if file.fs.variant = Stock then
-    Enclave.memset file.fs.enclave ~label:"ipfs.memset" node_size
+    Enclave.memset file.fs.enclave node_size
 
 (* Load node [idx] into the cache, returning it. *)
 let load_node file idx =
@@ -301,14 +299,14 @@ let load_node file idx =
       (* Stock IPFS zeroes the whole node structure (two 4 KiB buffers
          plus metadata) before filling it (§V-F). *)
       if fs.variant = Stock then
-        Enclave.memset fs.enclave ~label:"ipfs.memset" ((2 * node_size) + 64);
+        Enclave.memset fs.enclave ((2 * node_size) + 64);
       let e = if idx < Array.length file.entries then file.entries.(idx) else
           { iv = ""; tag = ""; present = false; c_present = false } in
       let plaintext =
         if e.present then begin
           let ct =
             Enclave.ocall fs.enclave ~name:"ipfs.ocall" (fun () ->
-                charge_untrusted_io fs "ipfs.read" node_size;
+                charge_untrusted_io fs node_size;
                 Backing.read fs.backing file.path ~pos:(idx * node_size) ~len:node_size)
           in
           if String.length ct <> node_size then
@@ -317,7 +315,7 @@ let load_node file idx =
              memory before GCM decryption; optimised CCM decrypts straight
              from the untrusted buffer. *)
           if fs.variant = Stock then
-            Enclave.copy_in fs.enclave ~label:"ipfs.read" node_size;
+            Enclave.copy_in fs.enclave node_size;
           charge_crypto fs node_size;
           Bytes.of_string (decrypt_node file idx ~iv:e.iv ~tag:e.tag ct)
         end
@@ -351,9 +349,9 @@ let write_header file =
   Buffer.add_string b tag;
   let blob = Buffer.contents b in
   let target = if file.live_slot = 0 then 1 else 0 in
-  Enclave.copy_out fs.enclave ~label:"ipfs.write" (String.length blob);
+  Enclave.copy_out fs.enclave (String.length blob);
   Enclave.ocall fs.enclave ~name:"ipfs.ocall" (fun () ->
-      charge_untrusted_io fs "ipfs.write" (String.length blob);
+      charge_untrusted_io fs (String.length blob);
       Backing.write fs.backing (slot_path file.path target) ~pos:0 blob);
   file.gen <- gen;
   file.live_slot <- target;
@@ -378,7 +376,7 @@ let read_slot fs ~path ~slot ~header_key =
   | Some n -> (
       let blob =
         Enclave.ocall fs.enclave ~name:"ipfs.ocall" (fun () ->
-            charge_untrusted_io fs "ipfs.read" n;
+            charge_untrusted_io fs n;
             Backing.read fs.backing sp ~pos:0 ~len:n)
       in
       if String.length blob >= 4 && String.sub blob 0 4 = tombstone then Slot_dead
@@ -391,7 +389,7 @@ let read_slot fs ~path ~slot ~header_key =
         else begin
           let ct = String.sub blob (4 + iv_len + 4) ct_len in
           let tag = String.sub blob (4 + iv_len + 4 + ct_len) tag_len in
-          Enclave.copy_in fs.enclave ~label:"ipfs.read" (String.length blob);
+          Enclave.copy_in fs.enclave (String.length blob);
           charge_crypto fs ct_len;
           match Gcm.decrypt header_key ~iv ~aad:"header" ~tag ct with
           | Some pt ->
@@ -410,7 +408,7 @@ let read_journal_gen fs ~path =
   | Some _ ->
       let hdr =
         Enclave.ocall fs.enclave ~name:"ipfs.ocall" (fun () ->
-            charge_untrusted_io fs ~account:"ipfs.recovery" "ipfs.recovery" 16;
+            charge_untrusted_io fs ~account:"ipfs.recovery" 16;
             Backing.read fs.backing jp ~pos:0 ~len:16)
       in
       if String.length hdr = 16 && String.sub hdr 0 4 = journal_magic then
@@ -424,14 +422,13 @@ let rollback_journal fs ~path =
   let jp = journal_path path in
   let hdr =
     Enclave.ocall fs.enclave ~name:"ipfs.ocall" (fun () ->
-        charge_untrusted_io fs ~account:"ipfs.recovery" "ipfs.recovery" 16;
+        charge_untrusted_io fs ~account:"ipfs.recovery" 16;
         Backing.read fs.backing jp ~pos:0 ~len:16)
   in
   let count = get_u32 hdr 12 in
   for k = 0 to count - 1 do
     Enclave.ocall fs.enclave ~name:"ipfs.ocall" (fun () ->
-        charge_untrusted_io fs ~account:"ipfs.recovery" "ipfs.recovery"
-          (2 * node_size);
+        charge_untrusted_io fs ~account:"ipfs.recovery" (2 * node_size);
         let entry =
           Backing.read fs.backing jp ~pos:(16 + (k * jrnl_stride)) ~len:jrnl_stride
         in
@@ -444,7 +441,7 @@ let rollback_journal fs ~path =
 
 let delete_journal fs ~path =
   Enclave.ocall fs.enclave ~name:"ipfs.ocall" (fun () ->
-      charge_untrusted_io fs ~account:"ipfs.recovery" "ipfs.recovery" 16;
+      charge_untrusted_io fs ~account:"ipfs.recovery" 16;
       ignore (Backing.delete fs.backing (journal_path path)))
 
 (* Crash recovery at open: pick the newest authenticated header slot,
@@ -463,7 +460,7 @@ let read_header fs ~path ~header_key =
   if dead then begin
     (* deletion in flight: finish it *)
     Enclave.ocall fs.enclave ~name:"ipfs.ocall" (fun () ->
-        charge_untrusted_io fs ~account:"ipfs.recovery" "ipfs.recovery" 16;
+        charge_untrusted_io fs ~account:"ipfs.recovery" 16;
         ignore (Backing.delete fs.backing (meta_path path));
         ignore (Backing.delete fs.backing (meta2_path path));
         ignore (Backing.delete fs.backing (journal_path path)));
@@ -502,7 +499,7 @@ let read_header fs ~path ~header_key =
         else if jgen = Some 0 then begin
           (* torn very first commit: the file never existed durably *)
           Enclave.ocall fs.enclave ~name:"ipfs.ocall" (fun () ->
-              charge_untrusted_io fs ~account:"ipfs.recovery" "ipfs.recovery" 16;
+              charge_untrusted_io fs ~account:"ipfs.recovery" 16;
               ignore (Backing.delete fs.backing (meta_path path));
               ignore (Backing.delete fs.backing (meta2_path path));
               ignore (Backing.delete fs.backing (journal_path path)));

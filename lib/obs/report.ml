@@ -1,5 +1,7 @@
-(* Render a per-run cost breakdown out of an Obs registry, as an aligned
-   text table (human) and as JSON (machine; hand-rolled, no deps). *)
+(* Render a per-run report out of an Obs registry (counters, trace-ring
+   health) and, when given, the guest profile and the cycle ledger that
+   holds the run's time breakdown, as an aligned text table (human) and
+   as JSON (machine; hand-rolled, no deps). *)
 
 let ms ns = float_of_int ns /. 1e6
 
@@ -60,27 +62,6 @@ let render ?(title = "per-run cost report") ?profile ?ledger obs =
     line "-- counters --";
     List.iter (fun (name, v) -> line "%-28s %12d" name v) counters;
     List.iter (fun (p, r) -> line "%-28s %11.1f%%" (p ^ ".hit_rate") r) (rates counters)
-  end;
-  let hists = Obs.histograms obs in
-  if hists <> [] then begin
-    line "-- costs --";
-    line "%-28s %10s %12s %10s %10s %10s %10s" "component" "events" "total(ms)"
-      "min(ns)" "p50(ns)" "p99(ns)" "max(ns)";
-    List.iter
-      (fun (name, (h : Obs.hstat)) ->
-        let q v = Option.value ~default:0 (Obs.quantile obs name v) in
-        line "%-28s %10d %12.4f %10d %10d %10d %10d" name h.count (ms h.sum)
-          h.min (q 0.5) (q 0.99) h.max)
-      hists
-  end;
-  let spans = Obs.spans obs in
-  if spans <> [] then begin
-    line "-- spans --";
-    line "%-28s %10s %12s %12s" "span" "calls" "total(ms)" "self(ms)";
-    List.iter
-      (fun (name, (s : Obs.sstat)) ->
-        line "%-28s %10d %12.4f %12.4f" name s.calls (ms s.total_ns) (ms s.self_ns))
-      spans
   end;
   (match Obs.tracer obs with
   | Some tr ->
@@ -177,32 +158,8 @@ let to_json ?profile ?ledger obs =
                    (Profile.functions prof)) ) ]
   in
   json_obj b
-    ([
-      ( "counters",
-        fun buf ->
-          json_obj buf (List.map (fun (k, v) -> (k, int v)) (Obs.counters obs)) );
-      ( "histograms",
-        fun buf ->
-          json_obj buf
-            (List.map
-               (fun (k, (h : Obs.hstat)) ->
-                 ( k,
-                   fun buf ->
-                     json_obj buf
-                       [ ("count", int h.count); ("sum_ns", int h.sum);
-                         ("min_ns", int h.min); ("max_ns", int h.max) ] ))
-               (Obs.histograms obs)) );
-      ( "spans",
-        fun buf ->
-          json_obj buf
-            (List.map
-               (fun (k, (s : Obs.sstat)) ->
-                 ( k,
-                   fun buf ->
-                     json_obj buf
-                       [ ("calls", int s.calls); ("total_ns", int s.total_ns);
-                         ("self_ns", int s.self_ns) ] ))
-               (Obs.spans obs)) );
-    ]
-    @ trace_fields @ profile_fields @ ledger_fields);
+    (( "counters",
+       fun buf ->
+         json_obj buf (List.map (fun (k, v) -> (k, int v)) (Obs.counters obs)) )
+    :: trace_fields @ profile_fields @ ledger_fields);
   Buffer.contents b

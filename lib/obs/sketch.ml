@@ -13,9 +13,9 @@
    order and merge grouping cannot perturb the result: the serving
    fleet merges per-window, per-enclave sketches into fleet tails and
    still replays byte-identically. The bucket array is allocated only
-   up to the highest binade touched: every [Machine.charge] feeds a
-   sketch in the telemetry registry, and most of them never see a
-   value past a few microseconds. *)
+   up to the highest binade touched: the fleet keeps a sketch per track
+   per window, and most of them never see a value past a few
+   milliseconds. *)
 
 let sb_bits = 6
 let subbuckets = 1 lsl sb_bits

@@ -70,14 +70,6 @@ let to_json ?(process_name = "twine (simulated SGX)") ?(threads = []) t =
 let to_string ?process_name ?threads t =
   Json.to_string (to_json ?process_name ?threads t)
 
-let to_file ?process_name ?threads t path =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () ->
-      output_string oc (to_string ?process_name ?threads t);
-      output_char oc '\n')
-
 (* --- folded stacks (flamegraph text format) --- *)
 
 (* One line per distinct call path: "outer;mid;leaf <self-weight>".

@@ -18,10 +18,6 @@
 val to_json : ?process_name:string -> ?threads:(int * string) list -> Trace.t -> Json.t
 val to_string : ?process_name:string -> ?threads:(int * string) list -> Trace.t -> string
 
-val to_file :
-  ?process_name:string -> ?threads:(int * string) list -> Trace.t -> string -> unit
-(** Write [to_string] plus a trailing newline to a path. *)
-
 val folded : ?metric:[ `Fuel | `Cycles ] -> Profile.t -> string
 (** Folded-stack (flamegraph) text of a guest profile: one
     ["outer;mid;leaf weight"] line per distinct call path, sorted,

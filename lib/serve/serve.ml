@@ -414,7 +414,6 @@ let run ?(prepare = fun (_ : Machine.t) -> ()) (cfg : config) =
   if window_ns <= 0 then invalid_arg "Serve.run: window_ns <= 0";
   let retain = cfg.retain_requests in
   let machine = Machine.create ~epc_bytes:cfg.epc_bytes ~seed:cfg.seed () in
-  Twine.Bench_db.set_wasm_factor cfg.wasm_factor;
   (* One persistent backing per fleet slot: the untrusted store outlives
      any enclave serving the slot, so failover can relaunch into the
      same durable state. *)
@@ -563,7 +562,6 @@ let run ?(prepare = fun (_ : Machine.t) -> ()) (cfg : config) =
     int_of_float
       (Float.round (float_of_int work *. ns_per_work *. cfg.wasm_factor))
   in
-  let charge_ns account ns = Machine.charge machine ~account "serve.sql" ns in
   let tracer = Twine_obs.Obs.tracer obs in
   (* The one completion path: each admitted request completes exactly
      once, with any outcome — cancel its deadline, count it, emit it. *)
@@ -614,7 +612,7 @@ let run ?(prepare = fun (_ : Machine.t) -> ()) (cfg : config) =
     | None -> ());
     cur := Some r;
     let sql = sql_of_req x.req in
-    Enclave.copy_in e ~label:"serve.req" (String.length sql);
+    Enclave.copy_in e (String.length sql);
     Db.reset_work w.db;
     let pr0, pw0, _ = Pager.stats (Db.pager w.db) in
     let res = Db.exec w.db sql in
@@ -634,7 +632,7 @@ let run ?(prepare = fun (_ : Machine.t) -> ()) (cfg : config) =
         (Db.profiles w.db)
     in
     (match shares with
-    | [] -> charge_ns "serve.exec" exec_ns
+    | [] -> Machine.charge machine "serve.exec" exec_ns
     | _ ->
         let slices = Db.slice_ns ~total_ns:exec_ns (List.map snd shares) in
         List.iter2
@@ -646,7 +644,7 @@ let run ?(prepare = fun (_ : Machine.t) -> ()) (cfg : config) =
                     ~args:[ ("tid", request_track w.eid); ("rid", r.rid) ]
                     ("sql." ^ name)
               | None -> ());
-              charge_ns "serve.exec" ns;
+              Machine.charge machine "serve.exec" ns;
               match tracer with
               | Some tr ->
                   Twine_obs.Trace.end_span tr ~cat:"sqldb"
@@ -658,10 +656,10 @@ let run ?(prepare = fun (_ : Machine.t) -> ()) (cfg : config) =
     let pager_units = !(w.pager_work) in
     let pager_ns = work_ns pager_units in
     if pager_units > 0 then begin
-      charge_ns "serve.pager" pager_ns;
+      Machine.charge machine "serve.pager" pager_ns;
       w.pager_work := 0
     end;
-    Enclave.copy_out e ~label:"serve.resp" (response_bytes res);
+    Enclave.copy_out e (response_bytes res);
     cur := None;
     r.finish_ns <- Machine.now_ns machine;
     r.interference <- List.sort compare r.interference;
@@ -785,30 +783,25 @@ let run ?(prepare = fun (_ : Machine.t) -> ()) (cfg : config) =
     | `Transient _ ->
         (* recoverable entry failure: the enclave is healthy, only the
            batch is lost — detect and requeue *)
-        Machine.charge machine ~account:"serve.failover.detect"
-          "serve.failover" failover_detect_ns
+        Machine.charge machine "serve.failover.detect" failover_detect_ns
     | `Lost _ ->
         incr failover_count;
         Twine_obs.Obs.inc obs "serve.failover";
         let fo_start = Machine.now_ns machine in
-        Machine.charge machine ~account:"serve.failover.detect"
-          "serve.failover" failover_detect_ns;
+        Machine.charge machine "serve.failover.detect" failover_detect_ns;
         let resident = Epc.resident_of epc w.eid in
-        Machine.charge machine ~account:"serve.failover.teardown"
-          "serve.failover"
+        Machine.charge machine "serve.failover.teardown"
           (failover_teardown_base_ns + (resident * failover_teardown_page_ns));
         (* EREMOVE the poisoned enclave: releases its EPC pages and
            purges its eviction provenance. Its Db handle dies with it —
            the durable truth lives in the slot's backing. *)
         Twine.Runtime.destroy w.rt;
-        Machine.charge machine ~account:"serve.failover.relaunch"
-          "serve.failover" failover_relaunch_ns;
+        Machine.charge machine "serve.failover.relaunch" failover_relaunch_ns;
         let neww =
           make_worker cfg machine ~backing:backings.(slot)
             ~sqlstats:w.sqlstats ()
         in
-        Machine.charge machine ~account:"serve.failover.recover"
-          "serve.failover" failover_recover_ns;
+        Machine.charge machine "serve.failover.recover" failover_recover_ns;
         (* arrivals queued behind the crash migrate to the replacement;
            the depth high-water mark is a slot-level statistic *)
         Queue.transfer w.queue neww.queue;
@@ -818,9 +811,8 @@ let run ?(prepare = fun (_ : Machine.t) -> ()) (cfg : config) =
         evict0.(slot) <- Epc.evictions_of epc neww.eid;
         Hashtbl.remove worker_of_track (track_of_eid w.eid);
         Hashtbl.replace worker_of_track (track_of_eid neww.eid) neww;
-        let dur = Machine.now_ns machine - fo_start in
-        recovery_durations := dur :: !recovery_durations;
-        Twine_obs.Obs.observe obs "serve.failover_ns" dur);
+        recovery_durations :=
+          (Machine.now_ns machine - fo_start) :: !recovery_durations);
     in_failover := false;
     requeue_unfinished ~eid:w.eid batch
   in
@@ -916,7 +908,7 @@ let run ?(prepare = fun (_ : Machine.t) -> ()) (cfg : config) =
         with
         | [] -> assert (completed () = n)
         | ts ->
-            Machine.charge machine ~account:"serve.idle" "serve.idle"
+            Machine.charge machine "serve.idle"
               (List.fold_left min max_int ts - Machine.now_ns machine))
     | Some i ->
         rr := (i + 1) mod k;
@@ -924,7 +916,6 @@ let run ?(prepare = fun (_ : Machine.t) -> ()) (cfg : config) =
         let batch = take_batch w cfg.batch [] in
         let size = List.length batch in
         incr batches;
-        Twine_obs.Obs.observe obs "serve.batch_fill" size;
         let batch_ctx =
           [ ("enclave", w.eid); ("size", size);
             ("rid_first", (List.hd batch).r.rid);

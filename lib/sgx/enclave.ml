@@ -48,8 +48,7 @@ let fault_pages (t : t) ~addr ~len =
           let account =
             match victim with Some _ -> "epc.evict" | None -> "epc.fault"
           in
-          Machine.charge_cycles m ~account "sgx.epc_fault"
-            m.costs.epc_fault_cycles
+          Machine.charge_cycles m account m.costs.epc_fault_cycles
     done
   end
 
@@ -111,15 +110,24 @@ let crossing t ~account name =
   Twine_obs.Obs.emit t.machine.Machine.obs ~cat:"sgx"
     ~args:[ ("enclave", t.id); ("transition", t.transition_count) ]
     (name ^ ".crossing");
-  Machine.charge_cycles t.machine ~account name
-    t.machine.costs.transition_cycles
+  Machine.charge_cycles t.machine account t.machine.costs.transition_cycles
+
+(* The body of a crossing as a [span] Begin/End pair on the flight
+   recorder; End is emitted on unwind too, so the timeline stays
+   balanced when the body raises. *)
+let in_span t name f =
+  let tracer () = Twine_obs.Obs.tracer t.machine.Machine.obs in
+  Option.iter (fun tr -> Twine_obs.Trace.begin_span tr ~cat:"span" name) (tracer ());
+  Fun.protect
+    ~finally:(fun () ->
+      Option.iter (fun tr -> Twine_obs.Trace.end_span tr ~cat:"span" name) (tracer ()))
+    f
 
 let ecall t ?(name = "sgx.ecall") f =
   check t;
   let account = "sgx.transition.ecall" in
-  let obs = t.machine.Machine.obs in
   if t.depth = 0 then begin
-    Twine_obs.Obs.inc obs "sgx.ecall";
+    Twine_obs.Obs.inc t.machine.Machine.obs "sgx.ecall";
     crossing t ~account name
   end;
   t.depth <- t.depth + 1;
@@ -129,20 +137,19 @@ let ecall t ?(name = "sgx.ecall") f =
       if t.depth = 0 && not t.destroyed then crossing t ~account name)
     (fun () ->
       fault_gate t "enclave.ecall";
-      Twine_obs.Obs.in_span obs name (fun () -> f t))
+      in_span t name (fun () -> f t))
 
 let ocall t ?(name = "sgx.ocall") f =
   check t;
   if t.depth = 0 then invalid_arg "Enclave.ocall: not inside an ecall";
   let account = "sgx.transition.ocall" in
-  let obs = t.machine.Machine.obs in
-  Twine_obs.Obs.inc obs "sgx.ocall";
+  Twine_obs.Obs.inc t.machine.Machine.obs "sgx.ocall";
   crossing t ~account name;
   Fun.protect
     ~finally:(fun () -> if not t.destroyed then crossing t ~account name)
     (fun () ->
       fault_gate t "enclave.ocall";
-      Twine_obs.Obs.in_span obs name f)
+      in_span t name f)
 
 let inside t = t.depth > 0
 let transitions t = t.transition_count
@@ -195,20 +202,18 @@ let commit t ~addr ~len =
     fault_pages t ~addr ~len
   end
 
-let memset t ?(label = "sgx.memset") n =
+let memset t n =
   check t;
-  Machine.charge t.machine ~account:"mee.memset" label
+  Machine.charge t.machine "mee.memset"
     (Costs.bytes_ns t.machine.costs.memset_ns_per_byte n)
 
-let copy_in t ?(label = "sgx.copy_in") n =
+let copy t n =
   check t;
-  Machine.charge t.machine ~account:"mee.copy" label
+  Machine.charge t.machine "mee.copy"
     (Costs.bytes_ns t.machine.costs.copy_ns_per_byte n)
 
-let copy_out t ?(label = "sgx.copy_out") n =
-  check t;
-  Machine.charge t.machine ~account:"mee.copy" label
-    (Costs.bytes_ns t.machine.costs.copy_ns_per_byte n)
+let copy_in = copy
+let copy_out = copy
 
 let load_reserved t code =
   check t;

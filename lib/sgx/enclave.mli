@@ -43,12 +43,13 @@ val destroy : t -> unit
 val ecall : t -> ?name:string -> (t -> 'a) -> 'a
 (** Enter the enclave, run the function inside, and leave; charges two
     boundary crossings. Nested calls are allowed and charge nothing (only
-    the outermost crossing pays). Counted as [sgx.ecall] and traced as a
-    telemetry span named [name] on the machine's registry. *)
+    the outermost crossing pays). Counted as [sgx.ecall]; with a flight
+    recorder attached, the body is a [span] Begin/End pair named [name]
+    (End also on unwind). *)
 
 val ocall : t -> ?name:string -> (unit -> 'a) -> 'a
 (** Call out of the enclave from trusted code; charges a round trip.
-    Counted as [sgx.ocall] and traced as a span named [name].
+    Counted as [sgx.ocall] and traced like {!ecall}.
     @raise Invalid_argument if not currently inside an [ecall]. *)
 
 val inside : t -> bool
@@ -79,14 +80,16 @@ val commit : t -> addr:int -> len:int -> unit
     pages in, without moving the allocation cursor. Used to account linear
     memory grown by [memory.grow] after the region was set up. *)
 
-val memset : t -> ?label:string -> int -> unit
-(** Charge clearing [n] bytes of enclave memory (MEE write cost). The
-    label names the meter component (default ["sgx.memset"]). *)
+val memset : t -> int -> unit
+(** Charge clearing [n] bytes of enclave memory (MEE write cost) to the
+    [mee.memset] account. *)
 
-val copy_in : t -> ?label:string -> int -> unit
-(** Charge copying [n] bytes from untrusted to trusted memory. *)
+val copy_in : t -> int -> unit
+(** Charge copying [n] bytes from untrusted to trusted memory to the
+    [mee.copy] account. *)
 
-val copy_out : t -> ?label:string -> int -> unit
+val copy_out : t -> int -> unit
+(** Charge copying [n] bytes out of the enclave ([mee.copy]). *)
 
 val load_reserved : t -> string -> int
 (** Map code into reserved memory (§IV-B), returning its base address.

@@ -41,7 +41,7 @@ let create ?(costs = Costs.default) ?(epc_bytes = usable_epc_bytes)
     ?(seed = "twine-machine") () =
   let clock = Clock.create () in
   let now () = Clock.now_ns clock in
-  let obs = Twine_obs.Obs.create ~now () in
+  let obs = Twine_obs.Obs.create () in
   let t =
     {
       clock;
@@ -60,23 +60,21 @@ let create ?(costs = Costs.default) ?(epc_bytes = usable_epc_bytes)
 (* The ONLY Clock.advance call site in the library: every nanosecond of
    virtual time passes through here, so booking each charge into the
    ledger makes the conservation audit (elapsed = booked) structural. *)
-let charge t ?account component ns =
+let charge t account ns =
   Clock.advance t.clock ns;
-  Twine_obs.Obs.observe t.obs component ns;
-  let acct = match account with Some a -> a | None -> component in
-  Twine_obs.Ledger.book t.ledger acct ns;
+  Twine_obs.Ledger.book t.ledger account ns;
   match Twine_obs.Obs.tracer t.obs with
   | None -> ()
   | Some _ ->
-      Twine_obs.Obs.emit_counter t.obs ~cat:"ledger" ("ledger." ^ acct)
-        [ ("ns", Twine_obs.Ledger.ns t.ledger acct) ]
+      Twine_obs.Obs.emit_counter t.obs ~cat:"ledger" ("ledger." ^ account)
+        [ ("ns", Twine_obs.Ledger.ns t.ledger account) ]
 
-let charge_cycles t ?account component cycles =
+let charge_cycles t account cycles =
   let ns, carry =
     Costs.cycles_ns_rem t.costs ~carry:t.cycle_carry cycles
   in
   t.cycle_carry <- carry;
-  charge t ?account component ns
+  charge t account ns
 
 let now_ns t = Clock.now_ns t.clock
 
@@ -104,7 +102,7 @@ let arm_faults t plan =
     ~now:(fun () -> Clock.now_ns t.clock)
     ~notify:(fun (inj : Fault.injection) ->
       let ns = match inj.Fault.action with Fault.Delay n -> n | _ -> 0 in
-      charge t ~account:("fault." ^ inj.Fault.site) "fault.inject" ns;
+      charge t ("fault." ^ inj.Fault.site) ns;
       Twine_obs.Obs.inc t.obs "fault.injected";
       Twine_obs.Obs.emit t.obs ~cat:"fault"
         ~args:[ ("op", inj.Fault.op) ]

@@ -1,13 +1,13 @@
 (** A simulated SGX-capable machine: virtual clock, cost model, EPC, the
-    fused CPU secret from which sealing and attestation keys derive, and
-    a machine-wide telemetry registry for time-breakdown experiments. *)
+    fused CPU secret from which sealing and attestation keys derive, a
+    machine-wide telemetry registry, and the cycle ledger that books
+    every simulated nanosecond for time-breakdown experiments. *)
 
 type t = {
   clock : Twine_sim.Clock.t;
   obs : Twine_obs.Obs.t;
-      (** telemetry registry (counters/histograms/spans, optional flight
-          recorder) on the machine's virtual clock; every layer of the
-          stack records into it *)
+      (** telemetry registry (event counters, optional flight recorder);
+          every layer of the stack counts into it *)
   ledger : Twine_obs.Ledger.t;
       (** cycle ledger on the same clock: every {!charge} books here, so
           [Ledger.audit] proves booked totals equal elapsed virtual time *)
@@ -23,15 +23,14 @@ val create : ?costs:Costs.t -> ?epc_bytes:int -> ?seed:string -> unit -> t
 (** Default EPC is the paper's usable 93 MiB. [seed] makes the fused key
     (and hence all derived randomness) deterministic. *)
 
-val charge : t -> ?account:string -> string -> int -> unit
-(** Advance the clock by [ns], record it in the telemetry cost histogram
-    of the named component, and book it into the machine ledger under
-    [account] (default: the component name). This is the only place
-    virtual time advances, so the ledger's conservation audit holds by
+val charge : t -> string -> int -> unit
+(** [charge t account ns] advances the clock by [ns] and books it into
+    the machine ledger under [account]. This is the only place virtual
+    time advances, so the ledger's conservation audit holds by
     construction. When a tracer is attached, also emits a
     [ledger.<account>] counter track with the account's running total. *)
 
-val charge_cycles : t -> ?account:string -> string -> int -> unit
+val charge_cycles : t -> string -> int -> unit
 (** Like {!charge} but in CPU cycles, converting via
     {!Costs.cycles_ns_rem} with a per-machine carry so sub-ns remainders
     accumulate instead of being lost to rounding. *)

@@ -7,9 +7,13 @@
    - Twine:    the Wasm build inside the enclave; file system calls go to
                the Intel Protected File System through the WASI layer
 
-   CPU time is charged per unit of database work, at the calibrated Wasm
-   slowdown for the Wasm-based variants (the factor is measured on this
-   machine from the PolyBench suite: AoT-engine time / native time).
+   CPU time is charged per unit of database work, times a Wasm slowdown
+   factor for the Wasm-based variants. A caller that passes
+   [~wasm_factor] gets exactly that factor (the gated baseline, the
+   serving fleet and perfbench pin 2.5); only when none is passed is it
+   calibrated, once per process, on the host clock from PolyBench
+   (median AoT-engine time / native time; the fig4, fig5, table2, fig6
+   and fig7 bench sections).
    Memory behaviour (page-cache and heap residency vs the EPC) and I/O
    behaviour (OCALLs, cross-boundary copies, encryption) are simulated
    on the machine's virtual clock, so a workload's "time" is
@@ -59,15 +63,13 @@ let calibrate_wasm_factor () =
       calibrated_factor := Some f;
       f
 
-let set_wasm_factor f = calibrated_factor := Some f
-
 (* --- storage stacks --- *)
 
 (* Charge plain host-file I/O (the un-enclaved file variants). *)
 let host_io_svfs (machine : Machine.t) (inner : Svfs.t) : Svfs.t =
   let wrap_file (f : Svfs.file) : Svfs.file =
-    let charge label n =
-      Machine.charge machine ~account:"host.io" label
+    let charge n =
+      Machine.charge machine "host.io"
         (machine.costs.untrusted_io_base_ns
         + Costs.bytes_ns machine.costs.untrusted_io_ns_per_byte n)
     in
@@ -75,11 +77,11 @@ let host_io_svfs (machine : Machine.t) (inner : Svfs.t) : Svfs.t =
       f with
       Svfs.v_read =
         (fun ~pos ~len ->
-          charge "host.read" len;
+          charge len;
           f.Svfs.v_read ~pos ~len);
       v_write =
         (fun ~pos s ->
-          charge "host.write" (String.length s);
+          charge (String.length s);
           f.Svfs.v_write ~pos s);
     }
   in
@@ -90,9 +92,9 @@ let host_io_svfs (machine : Machine.t) (inner : Svfs.t) : Svfs.t =
 let lkl_io_svfs (enclave : Enclave.t) (inner : Svfs.t) : Svfs.t =
   let machine = Enclave.machine enclave in
   let wrap_file (f : Svfs.file) : Svfs.file =
-    let io label n g =
+    let io n g =
       let run () =
-        Machine.charge machine ~account:"lkl.io" label
+        Machine.charge machine "lkl.io"
           (machine.costs.untrusted_io_base_ns
           + Costs.bytes_ns machine.costs.untrusted_io_ns_per_byte n);
         g ()
@@ -104,8 +106,8 @@ let lkl_io_svfs (enclave : Enclave.t) (inner : Svfs.t) : Svfs.t =
       f with
       Svfs.v_read =
         (fun ~pos ~len ->
-          let data = io "lkl.read" len (fun () -> f.Svfs.v_read ~pos ~len) in
-          Enclave.copy_in enclave ~label:"lkl.read" (String.length data);
+          let data = io len (fun () -> f.Svfs.v_read ~pos ~len) in
+          Enclave.copy_in enclave (String.length data);
           Machine.charge machine "lkl.crypto"
             (Costs.bytes_ns machine.costs.aes_ns_per_byte (String.length data));
           data);
@@ -113,8 +115,8 @@ let lkl_io_svfs (enclave : Enclave.t) (inner : Svfs.t) : Svfs.t =
         (fun ~pos s ->
           Machine.charge machine "lkl.crypto"
             (Costs.bytes_ns machine.costs.aes_ns_per_byte (String.length s));
-          Enclave.copy_out enclave ~label:"lkl.write" (String.length s);
-          io "lkl.write" (String.length s) (fun () -> f.Svfs.v_write ~pos s));
+          Enclave.copy_out enclave (String.length s);
+          io (String.length s) (fun () -> f.Svfs.v_write ~pos s));
     }
   in
   { inner with Svfs.v_open = (fun path -> wrap_file (inner.Svfs.v_open path)) }
@@ -250,8 +252,6 @@ let exec t sql =
     int_of_float
       (Float.round (float_of_int work_units *. t.ns_per_work *. factor))
   in
-  let charge_ns account ns = Machine.charge t.machine ~account "sqlite" ns in
-  let charge account work_units = charge_ns account (work_ns work_units) in
   (* The statement's exec booking is sliced across its operator tree
      (plus profiling overhead) in proportion to self-work; the slices
      sum exactly to the single charge they replace, so the books stay
@@ -265,15 +265,15 @@ let exec t sql =
       (Db.profiles t.db)
   in
   (match shares with
-  | [] -> charge_ns "sqldb.exec" exec_ns
+  | [] -> Machine.charge t.machine "sqldb.exec" exec_ns
   | _ ->
       List.iter
-        (fun ns -> if ns > 0 then charge_ns "sqldb.exec" ns)
+        (fun ns -> if ns > 0 then Machine.charge t.machine "sqldb.exec" ns)
         (Db.slice_ns ~total_ns:exec_ns shares));
   (* B-tree work units arrive via Pager.hooks between execs (open-time
      work lands in the first exec); book them as pager time *)
   if !(t.pager_work) > 0 then begin
-    charge "sqldb.pager" !(t.pager_work);
+    Machine.charge t.machine "sqldb.pager" (work_ns !(t.pager_work));
     t.pager_work := 0
   end;
   result

@@ -105,7 +105,8 @@ let normalise ~(native : sweep_result) ~(other : sweep_result) ~epc_records fiel
   (ratio_set (fun r -> r <= epc_records), ratio_set (fun r -> r > epc_records))
 
 (* Fig 7: component breakdown of random reads over the protected file
-   system, stock vs optimised. *)
+   system, stock vs optimised; each component is a sum of the ledger
+   accounts the phase booked. *)
 type breakdown = {
   ipfs_variant : Twine_ipfs.Protected_fs.variant;
   total_ns : int;
@@ -128,16 +129,7 @@ let ipfs_breakdown ?(records = 2000) ?(blob_bytes = 512) ?(samples = 1500)
   in
   ignore (Bench_db.exec ctx schema);
   insert_batch ctx ~from_id:1 ~count:records ~blob_bytes;
-  (* measure only the random-read phase: snapshot the cost histograms
-     before it and report the deltas *)
-  let obs = machine.Twine_sgx.Machine.obs in
-  let sum k =
-    match Twine_obs.Obs.hstat obs k with
-    | Some h -> h.Twine_obs.Obs.sum
-    | None -> 0
-  in
-  let keys = [ "ipfs.memset"; "ipfs.ocall"; "wasi.ocall"; "ipfs.read"; "ipfs.crypto"; "sqlite" ] in
-  let before = List.map (fun k -> (k, sum k)) keys in
+  (* measure only the random-read phase: diff the ledger across it *)
   let ledger = Twine_sgx.Machine.ledger machine in
   let l0 = Twine_obs.Ledger.snapshot ledger in
   let t0 = Bench_db.now_ns ctx in
@@ -151,15 +143,19 @@ let ipfs_breakdown ?(records = 2000) ?(blob_bytes = 512) ?(samples = 1500)
              Some (d.Twine_obs.Ledger.account, d.Twine_obs.Ledger.delta_ns)
            else None)
   in
-  let ns k = sum k - List.assoc k before in
+  let ns ks =
+    List.fold_left
+      (fun acc k -> acc + Option.value ~default:0 (List.assoc_opt k accounts))
+      0 ks
+  in
   let r =
     {
       ipfs_variant;
       total_ns;
-      memset_ns = ns "ipfs.memset";
-      ocall_ns = ns "ipfs.ocall" + ns "wasi.ocall";
-      read_ns = ns "ipfs.read" + ns "ipfs.crypto";
-      sqlite_ns = ns "sqlite";
+      memset_ns = ns [ "mee.memset" ];
+      ocall_ns = ns [ "sgx.transition.ocall" ];
+      read_ns = ns [ "mee.copy"; "ipfs.io"; "ipfs.crypto" ];
+      sqlite_ns = ns [ "sqldb.exec"; "sqldb.pager" ];
       accounts;
     }
   in

@@ -161,8 +161,7 @@ let providers ?(strict = false) (enclave : Enclave.t) : Api.providers =
       let rec go tries =
         try call ()
         with Twine_sim.Fault.Transient _ when tries < 3 ->
-          Machine.charge machine ~account:"fault.retry" "host.retry"
-            (1000 * (tries + 1));
+          Machine.charge machine "fault.retry" (1000 * (tries + 1));
           go (tries + 1)
       in
       go 0
@@ -187,5 +186,5 @@ let providers ?(strict = false) (enclave : Enclave.t) : Api.providers =
     stderr = (fun s -> Enclave.copy_out enclave (String.length s));
     on_call =
       (fun name ->
-        Machine.charge machine ~account:("wasi." ^ name) "wasi.dispatch" 40);
+        Machine.charge machine ("wasi." ^ name) 40);
   }

@@ -81,18 +81,11 @@ let serve_artifact args flag =
   s
 
 (* the observability layers only watch the run: a ledger written with
-   blame, a tracer and a timeline attached is the same bytes as a plain
-   run's *)
+   blame and a tracer attached is the same bytes as a plain run's *)
 let test_replay_ledger () =
   let trace = Filename.temp_file "twine-serve" ".trace.json" in
-  let timeline = Filename.temp_file "twine-serve" ".timeline.json" in
-  let a =
-    serve_artifact
-      [ "--blame"; "--top"; "5"; "--trace"; trace; "--timeline"; timeline ]
-      "--ledger"
-  in
+  let a = serve_artifact [ "--blame"; "--top"; "5"; "--trace"; trace ] "--ledger" in
   Sys.remove trace;
-  Sys.remove timeline;
   let b = serve_artifact [] "--ledger" in
   Alcotest.(check bool) "ledger is non-empty" true (String.length a > 0);
   Alcotest.(check bool) "same seed, byte-identical ledger with and without observers"
@@ -156,6 +149,62 @@ let test_chaos_replay () =
   Alcotest.(check bool) "SLO artifact A = B byte-for-byte" true (slo_a = slo_b);
   Alcotest.(check bool) "SLO artifact A = stream C byte-for-byte" true (slo_a = slo_c)
 
+(* an unwritable artifact path is an I/O error: exit 2, naming what
+   could not be written *)
+let test_unwritable_ledger () =
+  let code, _, err =
+    run [ "serve"; "--requests"; "50"; "--ledger"; "/nonexistent/x.json" ]
+  in
+  Alcotest.(check int) "exit 2" 2 code;
+  Alcotest.(check bool) ("stderr says cannot write ledger: " ^ err) true
+    (contains err "cannot write ledger")
+
+(* the exit code `bench check` pins through serve.slo.violated *)
+let pinned_slo_code () =
+  let get k j = Option.get (Json.member k j) in
+  let v =
+    Json.parse_exn (read_file "../BENCH_twine.json")
+    |> get "metrics" |> get "serve.slo.violated" |> get "value" |> Json.to_float
+  in
+  if Option.get v <> 0. then 3 else 0
+
+(* same (seed, config), retention on vs off, at the default size: the
+   windowed series, sketch and verdict must not depend on the mode.
+   Both runs go at once; each takes seconds. *)
+let test_slo_retained_vs_stream () =
+  let start extra =
+    let slo = Filename.temp_file "twine-slo" ".json" in
+    let err = Filename.temp_file "twine-slo" ".err" in
+    let fd = Unix.openfile err [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
+    let args =
+      [ cli; "serve"; "--slo"; "p99<2ms@50ms,budget=0.1%"; "--slo-out"; slo ] @ extra
+    in
+    let pid = Unix.create_process cli (Array.of_list args) Unix.stdin fd fd in
+    Unix.close fd;
+    (pid, slo, err)
+  in
+  let finish (pid, slo, err) =
+    let code =
+      match Unix.waitpid [] pid with
+      | _, Unix.WEXITED c -> c
+      | _ -> -1
+    in
+    let out = (code, read_file slo, read_file err) in
+    Sys.remove slo;
+    Sys.remove err;
+    out
+  in
+  let retained = start [] in
+  let stream = start [ "--stream" ] in
+  let code_r, slo_r, err_r = finish retained in
+  let code_s, slo_s, err_s = finish stream in
+  let want = pinned_slo_code () in
+  Alcotest.(check int) ("retained exits as pinned: " ^ err_r) want code_r;
+  Alcotest.(check int) ("stream exits as pinned: " ^ err_s) want code_s;
+  Alcotest.(check bool) "SLO artifact is non-empty" true (String.length slo_r > 0);
+  Alcotest.(check bool) "retained and --stream SLO artifacts byte-identical" true
+    (slo_r = slo_s)
+
 (* every section the bench harness knows *)
 let bench_sections =
   [ "fig3"; "fig4"; "fig5"; "table2"; "fig6"; "fig7"; "table3"; "ablate";
@@ -196,6 +245,8 @@ let () =
           Alcotest.test_case "blame requires retention" `Quick
             test_blame_requires_retention;
           Alcotest.test_case "malformed chaos exits 2" `Quick test_malformed_chaos;
+          Alcotest.test_case "unwritable ledger exits 2" `Quick
+            test_unwritable_ledger;
         ] );
       ( "serve-artifacts",
         [
@@ -203,6 +254,8 @@ let () =
           Alcotest.test_case "query-stats retained vs stream" `Quick
             test_sqlstats_retained_vs_stream;
           Alcotest.test_case "chaos replay determinism" `Quick test_chaos_replay;
+          Alcotest.test_case "SLO retained vs stream" `Quick
+            test_slo_retained_vs_stream;
         ] );
       ( "bench",
         [

@@ -359,11 +359,7 @@ let test_optimized_is_faster () =
     (Printf.sprintf "optimised (%d ns) beats stock (%d ns)" opt_cost stock_cost)
     true (opt_cost < stock_cost);
   (* the stock variant spends time in memset; the optimised variant none *)
-  let memset_ns m =
-    match Twine_obs.Obs.hstat m.Machine.obs "ipfs.memset" with
-    | Some h -> h.Twine_obs.Obs.sum
-    | None -> 0
-  in
+  let memset_ns m = Twine_obs.Ledger.ns (Machine.ledger m) "mee.memset" in
   Alcotest.(check bool) "stock memsets" true (memset_ns stock_m > 0);
   Alcotest.(check int) "optimised never memsets" 0 (memset_ns opt_m)
 
@@ -376,9 +372,7 @@ let test_cache_hit_avoids_ocall () =
   let f = Protected_fs.open_file fs ~mode:`Trunc "x" in
   ignore (Protected_fs.write f (String.make 4096 'p'));
   let ocall_charges () =
-    match Twine_obs.Obs.hstat m.Machine.obs "ipfs.ocall" with
-    | Some h -> h.Twine_obs.Obs.count
-    | None -> 0
+    Twine_obs.Ledger.events (Machine.ledger m) "sgx.transition.ocall"
   in
   let ocalls_before = ocall_charges () in
   let buf = Bytes.create 16 in

@@ -78,7 +78,7 @@ let test_machine_conservation () =
   Alcotest.(check bool) "time actually passed" true (a.Ledger.elapsed_ns > 0);
   Alcotest.(check int) "booked = elapsed = clock" (Machine.now_ns m)
     a.Ledger.booked_ns;
-  (* the remapped accounts took the bookings, not the histogram labels *)
+  (* each charge site books its own account *)
   let l = Machine.ledger m in
   Alcotest.(check bool) "transitions split by direction" true
     (Ledger.ns l "sgx.transition.ecall" > 0 && Ledger.ns l "sgx.transition.ocall" > 0);

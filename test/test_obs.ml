@@ -28,128 +28,16 @@ let test_counters () =
   Obs.reset obs;
   Alcotest.(check int) "reset clears" 0 (Obs.value obs "x")
 
-let test_histograms () =
-  let obs = Obs.create () in
-  Alcotest.(check bool) "absent histogram" true (Obs.hstat obs "h" = None);
-  List.iter (Obs.observe obs "h") [ 5; 1; 9 ];
-  match Obs.hstat obs "h" with
-  | None -> Alcotest.fail "histogram missing"
-  | Some h ->
-      Alcotest.(check int) "count" 3 h.Obs.count;
-      Alcotest.(check int) "sum" 15 h.Obs.sum;
-      Alcotest.(check int) "min" 1 h.Obs.min;
-      Alcotest.(check int) "max" 9 h.Obs.max
-
-let test_quantile_edges () =
-  let obs = Obs.create () in
-  Alcotest.(check (option int)) "missing histogram" None (Obs.quantile obs "q" 0.5);
-  (* empty name, single sample: every quantile is that sample *)
-  Obs.observe obs "one" 37;
-  List.iter
-    (fun q ->
-      Alcotest.(check (option int))
-        (Printf.sprintf "single sample at q=%.2f" q)
-        (Some 37) (Obs.quantile obs "one" q))
-    [ 0.0; 0.5; 0.99; 1.0 ];
-  (* extremes clamp to observed min/max, not bucket bounds *)
-  List.iter (Obs.observe obs "two") [ 3; 900 ];
-  Alcotest.(check (option int)) "q=0 is the min" (Some 3)
-    (Obs.quantile obs "two" 0.0);
-  Alcotest.(check (option int)) "q=1 is the max" (Some 900)
-    (Obs.quantile obs "two" 1.0);
-  (* exact power-of-two boundary sits in the bucket it upper-bounds *)
-  let obs2 = Obs.create () in
-  Obs.observe obs2 "b" 4096;
-  Alcotest.(check (option int)) "boundary value round-trips" (Some 4096)
-    (Obs.quantile obs2 "b" 0.5);
-  Alcotest.check_raises "q out of range"
-    (Invalid_argument "Obs.quantile: q outside [0,1]") (fun () ->
-      ignore (Obs.quantile obs "one" 1.5))
-
-let test_quantile_within_alpha () =
-  (* one sample at every value of [512, 1024): the nearest-rank order
-     statistic of rank r is 511 + r, and every estimate must sit within
-     the sketch's relative-error bound of it *)
-  let obs = Obs.create () in
-  for v = 512 to 1023 do Obs.observe obs "u" v done;
-  List.iter
-    (fun q ->
-      let exact = 511 + Sketch.rank 512 q in
-      match Obs.quantile obs "u" q with
-      | None -> Alcotest.fail "histogram missing"
-      | Some v ->
-          Alcotest.(check bool)
-            (Printf.sprintf "q=%.2f: got %d, exact %d" q v exact)
-            true
-            (float_of_int (abs (v - exact)) <= Sketch.alpha *. float_of_int exact))
-    [ 0.0; 0.25; 0.5; 0.75; 0.99; 1.0 ]
-
-let test_quantile_rank_rounding () =
-  (* 0.99 *. 100. = 99.00000000000001: the nearest-rank index must stay
-     99, not spill into the single outlier at rank 100 *)
-  let obs = Obs.create () in
-  for _ = 1 to 99 do Obs.observe obs "lat" 10 done;
-  Obs.observe obs "lat" 1_000_000;
-  (match Obs.quantile obs "lat" 0.99 with
-  | None -> Alcotest.fail "histogram missing"
-  | Some v ->
-      Alcotest.(check bool)
-        (Printf.sprintf "p99 of 99x10 + 1 outlier stays small (got %d)" v)
-        true (v < 100));
-  Alcotest.(check (option int)) "p100 is the outlier" (Some 1_000_000)
-    (Obs.quantile obs "lat" 1.0)
-
-(* Spans on a hand-cranked virtual clock: the parent's self time must
-   exclude the child's. *)
-let test_span_nesting () =
-  let t = ref 0 in
-  let obs = Obs.create ~now:(fun () -> !t) () in
-  let advance n = t := !t + n in
-  let result =
-    Obs.in_span obs "outer" (fun () ->
-        advance 10;
-        Alcotest.(check int) "depth inside outer" 1 (Obs.depth obs);
-        Obs.in_span obs "inner" (fun () -> advance 5);
-        advance 3;
-        "ok")
-  in
-  Alcotest.(check string) "thunk result returned" "ok" result;
-  Alcotest.(check int) "depth back to 0" 0 (Obs.depth obs);
-  (match Obs.sstat obs "outer" with
-  | None -> Alcotest.fail "outer span missing"
-  | Some s ->
-      Alcotest.(check int) "outer calls" 1 s.Obs.calls;
-      Alcotest.(check int) "outer total" 18 s.Obs.total_ns;
-      Alcotest.(check int) "outer self excludes inner" 13 s.Obs.self_ns);
-  match Obs.sstat obs "inner" with
-  | None -> Alcotest.fail "inner span missing"
-  | Some s ->
-      Alcotest.(check int) "inner total" 5 s.Obs.total_ns;
-      Alcotest.(check int) "inner self" 5 s.Obs.self_ns
-
-let test_span_exception_safe () =
-  let t = ref 0 in
-  let obs = Obs.create ~now:(fun () -> !t) () in
-  (try
-     Obs.in_span obs "boom" (fun () ->
-         t := !t + 7;
-         failwith "inner failure")
-   with Failure _ -> ());
-  Alcotest.(check int) "span stack unwound" 0 (Obs.depth obs);
-  match Obs.sstat obs "boom" with
-  | None -> Alcotest.fail "span not recorded"
-  | Some s -> Alcotest.(check int) "time still attributed" 7 s.Obs.total_ns
-
 (* --- report rendering --- *)
 
 let test_report_render () =
-  let obs = Obs.create () in
+  let machine = Machine.create ~seed:"obs-render" () in
+  let obs = machine.Machine.obs in
   Obs.add obs "epc.hit" 3;
   Obs.add obs "epc.fault" 1;
   Obs.add obs "ipfs.cache.miss" 8;
-  Obs.observe obs "sgx.launch" 2_000_000;
-  Obs.in_span obs "twine.main" (fun () -> ());
-  let r = Report.render obs in
+  Machine.charge machine "sgx.launch" 2_000_000;
+  let r = Report.render ~ledger:(Machine.ledger machine) obs in
   List.iter
     (fun needle ->
       Alcotest.(check bool)
@@ -157,23 +45,19 @@ let test_report_render () =
         true
         (contains r needle))
     [ "epc.hit"; "epc.hit_rate"; "75.0%"; "ipfs.cache.hit_rate"; "0.0%";
-      "sgx.launch"; "twine.main"; "-- spans --" ]
+      "sgx.launch" ];
+  (* the ledger is the one record of the run's time *)
+  List.iter
+    (fun gone ->
+      Alcotest.(check bool) (Printf.sprintf "no %S table" gone) false
+        (contains r gone))
+    [ "-- costs --"; "-- spans --" ]
 
 let test_report_json () =
   let obs = Obs.create () in
   Obs.add obs "wasi.hostcall" 5;
-  Obs.observe obs "sgx.epc_fault" 10526;
-  Obs.in_span obs "twine.main" (fun () -> ());
-  let j = Report.to_json obs in
-  List.iter
-    (fun needle ->
-      Alcotest.(check bool)
-        (Printf.sprintf "json contains %S" needle)
-        true
-        (contains j needle))
-    [ {|"counters":{"wasi.hostcall":5}|};
-      {|"sgx.epc_fault":{"count":1,"sum_ns":10526,"min_ns":10526,"max_ns":10526}|};
-      {|"twine.main":{"calls":1,"total_ns":0,"self_ns":0}|} ]
+  Alcotest.(check string) "counters only"
+    {|{"counters":{"wasi.hostcall":5}}|} (Report.to_json obs)
 
 (* --- baseline JSON: round-trip and verdict rendering --- *)
 
@@ -231,9 +115,8 @@ let test_report_json_shape () =
   let machine = Machine.create ~seed:"obs-shape" () in
   let obs = machine.Machine.obs in
   Machine.charge machine "sgx.launch" 1000;
-  Machine.charge machine ~account:"mee.copy" "sgx.copy_in" 500;
+  Machine.charge machine "mee.copy" 500;
   Obs.inc obs "epc.hit";
-  Obs.in_span obs "twine.main" (fun () -> ());
   let j = Report.to_json ~ledger:(Machine.ledger machine) obs in
   match Json.parse j with
   | Error msg -> Alcotest.fail ("report JSON does not parse: " ^ msg)
@@ -245,7 +128,7 @@ let test_report_json_shape () =
       in
       List.iter
         (fun m -> ignore (member_exn m json))
-        [ "counters"; "histograms"; "spans"; "ledger" ];
+        [ "counters"; "ledger" ];
       let ledger = member_exn "ledger" json in
       Alcotest.(check (option string)) "ledger schema"
         (Some Ledger.schema)
@@ -254,10 +137,7 @@ let test_report_json_shape () =
         (Json.to_float (member_exn "booked_ns" ledger));
       let copy = member_exn "mee.copy" (member_exn "accounts" ledger) in
       Alcotest.(check (option (float 0.0))) "account ns" (Some 500.)
-        (Json.to_float (member_exn "ns" copy));
-      Alcotest.(check (option (float 0.0))) "histogram sum round-trips" (Some 500.)
-        (Json.to_float
-           (member_exn "sum_ns" (member_exn "sgx.copy_in" (member_exn "histograms" json))))
+        (Json.to_float (member_exn "ns" copy))
 
 (* --- regression: C-string loads feed the access hook / EPC --- *)
 
@@ -320,8 +200,8 @@ let test_run_counts_surface () =
   Alcotest.(check bool) "wasi dispatch counted" true
     (Obs.value obs "wasi.hostcall" >= 1);
   Alcotest.(check int) "fd_write counted" 1 (Obs.value obs "wasi.fd_write");
-  Alcotest.(check bool) "run span recorded" true
-    (Obs.sstat obs "twine.main" <> None)
+  Alcotest.(check bool) "run ecall booked" true
+    (Ledger.ns (Machine.ledger machine) "sgx.transition.ecall" > 0)
 
 let () =
   Alcotest.run "obs"
@@ -329,14 +209,6 @@ let () =
       ( "registry",
         [
           Alcotest.test_case "counters" `Quick test_counters;
-          Alcotest.test_case "histograms" `Quick test_histograms;
-          Alcotest.test_case "quantile edge cases" `Quick test_quantile_edges;
-          Alcotest.test_case "quantile within alpha" `Quick
-            test_quantile_within_alpha;
-          Alcotest.test_case "quantile rank rounding" `Quick
-            test_quantile_rank_rounding;
-          Alcotest.test_case "span nesting" `Quick test_span_nesting;
-          Alcotest.test_case "span exception safety" `Quick test_span_exception_safe;
         ] );
       ( "report",
         [

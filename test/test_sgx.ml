@@ -223,9 +223,8 @@ let test_software_mode_no_fault_cost () =
   let e = Enclave.create m ~heap_bytes:0 ~code:"c" () in
   let addr = Enclave.alloc e (16 * page) in
   let fault_ns () =
-    match Twine_obs.Obs.hstat m.obs "sgx.epc_fault" with
-    | Some h -> h.Twine_obs.Obs.sum
-    | None -> 0
+    let l = Machine.ledger m in
+    Twine_obs.Ledger.ns l "epc.fault" + Twine_obs.Ledger.ns l "epc.evict"
   in
   let fault_ns_before = fault_ns () in
   Enclave.touch e ~addr ~len:(16 * page);

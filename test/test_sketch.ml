@@ -152,6 +152,54 @@ let test_sketch_json_rejects () =
               fields))
   | _ -> Alcotest.fail "sketch json not an object")
 
+let test_quantile_edges () =
+  (* single sample: every quantile is that sample *)
+  let one = sketch_of [ 37 ] in
+  List.iter
+    (fun q ->
+      Alcotest.(check (option int))
+        (Printf.sprintf "single sample at q=%.2f" q)
+        (Some 37) (Sketch.quantile one q))
+    [ 0.0; 0.5; 0.99; 1.0 ];
+  (* extremes clamp to observed min/max, not bucket bounds *)
+  let two = sketch_of [ 3; 900 ] in
+  Alcotest.(check (option int)) "q=0 is the min" (Some 3) (Sketch.quantile two 0.0);
+  Alcotest.(check (option int)) "q=1 is the max" (Some 900)
+    (Sketch.quantile two 1.0);
+  (* exact power-of-two boundary sits in the bucket it upper-bounds *)
+  Alcotest.(check (option int)) "boundary value round-trips" (Some 4096)
+    (Sketch.quantile (sketch_of [ 4096 ]) 0.5)
+
+let test_quantile_within_alpha () =
+  (* one sample at every value of [512, 1024): the nearest-rank order
+     statistic of rank r is 511 + r, and every estimate must sit within
+     the sketch's relative-error bound of it *)
+  let t = sketch_of (List.init 512 (fun i -> 512 + i)) in
+  List.iter
+    (fun q ->
+      let exact = 511 + Sketch.rank 512 q in
+      match Sketch.quantile t q with
+      | None -> Alcotest.fail "sketch empty"
+      | Some v ->
+          Alcotest.(check bool)
+            (Printf.sprintf "q=%.2f: got %d, exact %d" q v exact)
+            true
+            (float_of_int (abs (v - exact)) <= Sketch.alpha *. float_of_int exact))
+    [ 0.0; 0.25; 0.5; 0.75; 0.99; 1.0 ]
+
+let test_quantile_rank_rounding () =
+  (* 0.99 *. 100. = 99.00000000000001: the nearest-rank index must stay
+     99, not spill into the single outlier at rank 100 *)
+  let t = sketch_of (1_000_000 :: List.init 99 (fun _ -> 10)) in
+  (match Sketch.quantile t 0.99 with
+  | None -> Alcotest.fail "sketch empty"
+  | Some v ->
+      Alcotest.(check bool)
+        (Printf.sprintf "p99 of 99x10 + 1 outlier stays small (got %d)" v)
+        true (v < 100));
+  Alcotest.(check (option int)) "p100 is the outlier" (Some 1_000_000)
+    (Sketch.quantile t 1.0)
+
 (* ------------------------------------------------------------------ *)
 (* timeseries: window close and zero-fill semantics                    *)
 (* ------------------------------------------------------------------ *)
@@ -313,6 +361,11 @@ let () =
           Alcotest.test_case "basics and extremes" `Quick test_sketch_basics;
           Alcotest.test_case "json rejects malformed" `Quick
             test_sketch_json_rejects;
+          Alcotest.test_case "quantile edge cases" `Quick test_quantile_edges;
+          Alcotest.test_case "quantile within alpha" `Quick
+            test_quantile_within_alpha;
+          Alcotest.test_case "quantile rank rounding" `Quick
+            test_quantile_rank_rounding;
           qc prop_quantile_alpha;
           qc prop_merge_commutative;
           qc prop_merge_associative;

@@ -60,45 +60,44 @@ let test_lost_and_high_water () =
   Alcotest.(check int) "held restarts" 1 (Trace.length tr);
   Alcotest.(check int) "no new loss" 6 (Trace.lost tr)
 
-(* --- Obs integration: spans auto-emit Begin/End --- *)
+(* --- Enclave crossings emit span Begin/End --- *)
+
+(* the crossing instants and the spans of a traced machine, in order *)
+let boundary_events tr =
+  List.filter_map
+    (fun e ->
+      match e.Trace.phase with
+      | Trace.Begin | Trace.End | Trace.Instant -> Some (e.Trace.phase, e.Trace.name)
+      | Trace.Counter -> None)
+    (Trace.events tr)
+
+let traced_enclave () =
+  let m = Twine_sgx.Machine.create ~seed:"spans" () in
+  let tr = Twine_sgx.Machine.attach_tracer m in
+  (tr, Twine_sgx.Enclave.create m ~code:"spans" ())
 
 let test_obs_span_events () =
-  let clock = ref 0 in
-  let obs = Obs.create ~now:(fun () -> !clock) () in
-  let tr = Trace.create ~now:(fun () -> !clock) () in
-  Obs.set_tracer obs (Some tr);
-  Obs.in_span obs "outer" (fun () ->
-      clock := 100;
-      Obs.in_span obs "inner" (fun () -> clock := 250);
-      clock := 300);
-  let evs = Trace.events tr in
-  let phases = List.map (fun e -> (e.Trace.phase, e.Trace.name)) evs in
-  Alcotest.(check bool) "balanced nesting" true
-    (phases
-    = [ (Trace.Begin, "outer"); (Trace.Begin, "inner"); (Trace.End, "inner");
-        (Trace.End, "outer") ]);
-  let ts = List.map (fun e -> e.Trace.ts) evs in
-  Alcotest.(check bool) "non-decreasing ts" true
-    (List.for_all2 ( <= ) [ 0; 0; 250; 250 ] ts
-    && List.sort compare ts = ts)
+  let tr, e = traced_enclave () in
+  Twine_sgx.Enclave.ecall e ~name:"outer" (fun e ->
+      Twine_sgx.Enclave.ocall e ~name:"inner" (fun () -> ()));
+  Alcotest.(check bool) "spans nest inside their crossings" true
+    (boundary_events tr
+    = [ (Trace.Instant, "outer.crossing"); (Trace.Begin, "outer");
+        (Trace.Instant, "inner.crossing"); (Trace.Begin, "inner");
+        (Trace.End, "inner"); (Trace.Instant, "inner.crossing");
+        (Trace.End, "outer"); (Trace.Instant, "outer.crossing") ]);
+  let ts = List.map (fun e -> e.Trace.ts) (Trace.events tr) in
+  Alcotest.(check bool) "non-decreasing ts" true (List.sort compare ts = ts)
 
-let test_out_of_order_close () =
-  (* Closing an outer span with an inner one still open must close the
-     inner one first, so the outer's self time excludes the child. *)
-  let clock = ref 0 in
-  let obs = Obs.create ~now:(fun () -> !clock) () in
-  Obs.open_span obs "outer";
-  clock := 100;
-  Obs.open_span obs "inner";
-  clock := 400;
-  (* close the OUTER span while inner is still open *)
-  Obs.close_span obs "outer";
-  Alcotest.(check int) "stack drained" 0 (Obs.depth obs);
-  let outer = Option.get (Obs.sstat obs "outer") in
-  let inner = Option.get (Obs.sstat obs "inner") in
-  Alcotest.(check int) "inner total" 300 inner.Obs.total_ns;
-  Alcotest.(check int) "outer total" 400 outer.Obs.total_ns;
-  Alcotest.(check int) "outer self excludes inner" 100 outer.Obs.self_ns
+let test_span_end_on_unwind () =
+  let tr, e = traced_enclave () in
+  (try
+     Twine_sgx.Enclave.ecall e ~name:"boom" (fun _ -> failwith "inner failure")
+   with Failure _ -> ());
+  Alcotest.(check bool) "End emitted when the body raises" true
+    (boundary_events tr
+    = [ (Trace.Instant, "boom.crossing"); (Trace.Begin, "boom");
+        (Trace.End, "boom"); (Trace.Instant, "boom.crossing") ])
 
 (* --- Chrome trace-event export --- *)
 
@@ -314,7 +313,7 @@ let suite =
           test_lost_and_high_water ] );
     ( "obs",
       [ Alcotest.test_case "span begin/end events" `Quick test_obs_span_events;
-        Alcotest.test_case "out-of-order close" `Quick test_out_of_order_close ] );
+        Alcotest.test_case "span end on unwind" `Quick test_span_end_on_unwind ] );
     ( "export",
       [ Alcotest.test_case "chrome trace json" `Quick test_export_json;
         Alcotest.test_case "tracks, thread names, ring health" `Quick
