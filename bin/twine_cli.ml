@@ -154,10 +154,6 @@ let run_cmd =
       if stats then begin
         Printf.eprintf "-- twine stats --\n";
         Printf.eprintf "exit code:            %d\n" r.Twine.Runtime.exit_code;
-        Printf.eprintf "boundary crossings:   %d\n"
-          (Twine_sgx.Enclave.transitions (Twine.Runtime.enclave rt));
-        Printf.eprintf "EPC faults:           %d\n"
-          (Twine_sgx.Epc.faults machine.Twine_sgx.Machine.epc);
         Printf.eprintf "simulated time:       %.3f ms\n"
           (float_of_int (Twine_sgx.Machine.now_ns machine) /. 1e6);
         prerr_newline ();

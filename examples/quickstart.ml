@@ -65,7 +65,10 @@ let () =
   let r = Runtime.run rt in
   print_string r.Runtime.stdout;
   Printf.printf "exit code: %d\n" r.Runtime.exit_code;
+  (* each one-way crossing is one booked event of its ledger account *)
+  let ledger = Machine.ledger machine in
   Printf.printf "enclave boundary crossings: %d\n"
-    (Enclave.transitions (Runtime.enclave rt));
+    (Twine_obs.Ledger.events ledger "sgx.transition.ecall"
+    + Twine_obs.Ledger.events ledger "sgx.transition.ocall");
   Printf.printf "simulated time elapsed: %.3f ms\n"
     (float_of_int (Machine.now_ns machine) /. 1e6)

@@ -39,7 +39,9 @@ let counter_cell t name =
       Hashtbl.add t.counters name c;
       c
 
-let add t name n = (counter_cell t name).c_value <- (counter_cell t name).c_value + n
+let add t name n =
+  let c = counter_cell t name in
+  c.c_value <- c.c_value + n
 let inc t name = add t name 1
 
 let value t name =

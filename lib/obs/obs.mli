@@ -23,7 +23,10 @@ val reset : t -> unit
     tracing costs nothing when off. *)
 
 val set_tracer : t -> Trace.t option -> unit
+
 val tracer : t -> Trace.t option
+(** Hot emitters match on this first, so an untraced event allocates
+    nothing. *)
 
 val emit : t -> cat:string -> ?args:(string * int) list -> string -> unit
 (** Record an instant event in the attached recorder, if any. *)

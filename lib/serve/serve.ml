@@ -507,7 +507,6 @@ let run ?(prepare = fun (_ : Machine.t) -> ()) (cfg : config) =
   let failed_count = ref 0 in
   let completed () = !served_count + !shed_count + !timeout_count + !failed_count in
   let retry_count = ref 0 in
-  let failover_count = ref 0 in
   let recovery_durations = ref [] in
   (* -- streaming SLO plane: tumbling windows on the virtual clock.
      One fleet track plus one per enclave; gauges are probed as each
@@ -522,19 +521,18 @@ let run ?(prepare = fun (_ : Machine.t) -> ()) (cfg : config) =
     tbl
   in
   let probe =
-    let last = Hashtbl.create 8 in
+    let last = Array.make 3 0 in
     fun ~track ->
       if track = fleet_track then begin
-        let delta key =
-          let v = Twine_obs.Obs.value obs key in
-          let prev = Option.value ~default:0 (Hashtbl.find_opt last key) in
-          Hashtbl.replace last key v;
-          v - prev
+        let delta i v =
+          let d = v - last.(i) in
+          last.(i) <- v;
+          d
         in
         [ ("completed", completed ());
-          ("epc.fault", delta "epc.fault");
-          ("epc.evict", delta "epc.evict");
-          ("epc.refault.cross", delta "epc.refault.cross");
+          ("epc.fault", delta 0 (Epc.faults epc));
+          ("epc.evict", delta 1 (Epc.evictions epc));
+          ("epc.refault.cross", delta 2 (Epc.cross_refaults epc));
           ("queue_depth", Array.fold_left (fun a w -> a + w.live) 0 workers) ]
       end
       else
@@ -578,17 +576,13 @@ let run ?(prepare = fun (_ : Machine.t) -> ()) (cfg : config) =
       | Shed -> shed_count
       | Timed_out -> timeout_count
       | Failed -> failed_count);
-    let event =
-      if outcome = Served then "serve.req"
-      else begin
-        let e = "serve." ^ outcome_name outcome in
-        Twine_obs.Obs.inc obs e;
-        e
-      end
-    in
-    Twine_obs.Obs.emit obs ~cat:"serve"
-      ~args:[ ("rid", r.rid); ("enclave", r.enclave); ("lat_ns", latency_ns r) ]
-      event
+    match tracer with
+    | Some tr ->
+        Twine_obs.Trace.instant tr ~cat:"serve"
+          ~args:[ ("rid", r.rid); ("enclave", r.enclave); ("lat_ns", latency_ns r) ]
+          (if outcome = Served then "serve.req"
+           else "serve." ^ outcome_name outcome)
+    | None -> ()
   in
   (* Completion without service: shed at admission, client deadline
      expiry, or retry-budget exhaustion. It books nothing: a crashed
@@ -750,7 +744,6 @@ let run ?(prepare = fun (_ : Machine.t) -> ()) (cfg : config) =
         else if r.attempts > cfg.retries then fail_fast x Failed ~eid
         else begin
           incr retry_count;
-          Twine_obs.Obs.inc obs "serve.retry";
           let backoff =
             if cfg.backoff_ns <= 0 then 0
             else begin
@@ -785,8 +778,6 @@ let run ?(prepare = fun (_ : Machine.t) -> ()) (cfg : config) =
            batch is lost — detect and requeue *)
         Machine.charge machine "serve.failover.detect" failover_detect_ns
     | `Lost _ ->
-        incr failover_count;
-        Twine_obs.Obs.inc obs "serve.failover";
         let fo_start = Machine.now_ns machine in
         Machine.charge machine "serve.failover.detect" failover_detect_ns;
         let resident = Epc.resident_of epc w.eid in
@@ -1033,8 +1024,8 @@ let run ?(prepare = fun (_ : Machine.t) -> ()) (cfg : config) =
       transitions_per_request =
         (if n = 0 then 0. else float_of_int (2 * (ecalls + ocalls)) /. float_of_int n);
       ecall_ns = Twine_obs.Ledger.ns ledger "sgx.transition.ecall";
-      epc_faults = Twine_obs.Obs.value obs "epc.fault";
-      epc_evictions = Twine_obs.Obs.value obs "epc.evict";
+      epc_faults = Epc.faults epc;
+      epc_evictions = Epc.evictions epc;
       epc_limit_pages = Epc.limit_pages epc;
       epc_resident_pages = Epc.resident_pages epc;
       evictions_by_enclave =
@@ -1052,14 +1043,14 @@ let run ?(prepare = fun (_ : Machine.t) -> ()) (cfg : config) =
       timed_out = !timeout_count;
       failed = !failed_count;
       retries = !retry_count;
-      failovers = !failover_count;
+      failovers = List.length !recovery_durations;
       recovery_p99_ns = percentile recovery_sorted 0.99;
       goodput_rps =
         (if elapsed_ns = 0 then 0.
          else float_of_int !served_count /. (float_of_int elapsed_ns /. 1e9));
       availability_ppm =
         (if n = 0 then 1_000_000 else !served_count * 1_000_000 / n);
-      cross_refaults = Twine_obs.Obs.value obs "epc.refault.cross";
+      cross_refaults = Epc.cross_refaults epc;
       interference_by_evictor;
       p99_exemplar_rids;
       sampler_samples = !samples;

@@ -8,7 +8,6 @@ type t = {
   mutable brk : int;  (* next free enclave address *)
   mutable committed : int;  (* committed bytes *)
   mutable depth : int;  (* ecall nesting depth *)
-  mutable transition_count : int;
   mutable destroyed : bool;
   mutable poisoned : bool;
   drbg : Drbg.t;
@@ -72,7 +71,6 @@ let create machine ?(signer = "twine-vendor") ?(heap_bytes = 16 * 1024 * 1024)
       brk = Costs.page_size;  (* keep address 0 unused *)
       committed = 0;
       depth = 0;
-      transition_count = 0;
       destroyed = false;
       poisoned = false;
       drbg =
@@ -102,14 +100,16 @@ let destroy t =
     Epc.release_enclave t.machine.epc t.id
   end
 
-(* One enclave-boundary transition (half an ECALL/OCALL round trip).
-   The flight recorder gets an instant per transition so the timeline
-   shows each boundary crossing, not just the enclosing span. *)
+(* One enclave-boundary transition (half an ECALL/OCALL round trip),
+   counted once: as a booked event of its ledger account. The flight
+   recorder gets an instant per transition so the timeline shows each
+   boundary crossing, not just the enclosing span. *)
 let crossing t ~account name =
-  t.transition_count <- t.transition_count + 1;
-  Twine_obs.Obs.emit t.machine.Machine.obs ~cat:"sgx"
-    ~args:[ ("enclave", t.id); ("transition", t.transition_count) ]
-    (name ^ ".crossing");
+  (match Twine_obs.Obs.tracer t.machine.Machine.obs with
+  | Some tr ->
+      Twine_obs.Trace.instant tr ~cat:"sgx" ~args:[ ("enclave", t.id) ]
+        (name ^ ".crossing")
+  | None -> ());
   Machine.charge_cycles t.machine account t.machine.costs.transition_cycles
 
 (* The body of a crossing as a [span] Begin/End pair on the flight
@@ -152,7 +152,6 @@ let ocall t ?(name = "sgx.ocall") f =
       in_span t name f)
 
 let inside t = t.depth > 0
-let transitions t = t.transition_count
 let poisoned t = t.poisoned
 
 (* The in-enclave allocator is costlier than a host malloc and its cost

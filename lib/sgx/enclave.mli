@@ -43,18 +43,18 @@ val destroy : t -> unit
 val ecall : t -> ?name:string -> (t -> 'a) -> 'a
 (** Enter the enclave, run the function inside, and leave; charges two
     boundary crossings. Nested calls are allowed and charge nothing (only
-    the outermost crossing pays). Counted as [sgx.ecall]; with a flight
-    recorder attached, the body is a [span] Begin/End pair named [name]
-    (End also on unwind). *)
+    the outermost crossing pays). Each call is counted once, as
+    [sgx.ecall]; each one-way crossing once, as a booked event of
+    [sgx.transition.ecall]. With a flight recorder attached, the body is
+    a [span] Begin/End pair named [name] (End also on unwind). *)
 
 val ocall : t -> ?name:string -> (unit -> 'a) -> 'a
 (** Call out of the enclave from trusted code; charges a round trip.
-    Counted as [sgx.ocall] and traced like {!ecall}.
+    Counted as [sgx.ocall] and [sgx.transition.ocall] events, and traced
+    like {!ecall}.
     @raise Invalid_argument if not currently inside an [ecall]. *)
 
 val inside : t -> bool
-val transitions : t -> int
-(** Count of one-way boundary crossings so far. *)
 
 val poisoned : t -> bool
 (** True once an injected abort has lost the enclave (see {!Poisoned}). *)

@@ -26,12 +26,11 @@ let page_of ~enclave_id ~page_no =
 let enclave_of_page p = p lsr page_no_bits
 let page_no_of_page p = p land max_page_no
 
+module Obs = Twine_obs.Obs
+
 type t = {
   resident : (page, unit) Lru.t;
-  obs : Twine_obs.Obs.t option;
-  mutable hit_count : int;
-  mutable fault_count : int;
-  mutable eviction_count : int;
+  obs : Obs.t;
   victim_counts : (int, int) Hashtbl.t;
       (* enclave id -> times one of its pages was evicted *)
   resident_counts : (int, int) Hashtbl.t;
@@ -39,50 +38,32 @@ type t = {
   evicted_by : (page, int) Hashtbl.t;
       (* victim page -> enclave whose fault evicted it, kept only for
          cross-enclave evictions until the owner faults it back in *)
-  mutable cross_refault_count : int;
   mutable on_cross_refault : (owner:int -> evictor:int -> unit) option;
 }
 
-let create ?obs ~limit_bytes () =
+let create ?(obs = Obs.create ()) ~limit_bytes () =
   let pages = limit_bytes / Costs.page_size in
   if pages < 1 then invalid_arg "Epc.create: limit below one page";
   {
     resident = Lru.create ~capacity:pages ();
     obs;
-    hit_count = 0;
-    fault_count = 0;
-    eviction_count = 0;
     victim_counts = Hashtbl.create 16;
     resident_counts = Hashtbl.create 16;
     evicted_by = Hashtbl.create 64;
-    cross_refault_count = 0;
     on_cross_refault = None;
   }
 
 let limit_pages t = Lru.capacity t.resident
 let resident_pages t = Lru.length t.resident
 
-let record t name =
-  match t.obs with Some o -> Twine_obs.Obs.inc o name | None -> ()
-
-(* Timeline events for the paging that the aggregate counters summarise:
-   each fault/eviction lands as an instant tagged with the enclave and
-   page number, plus a resident-pages counter track. Hits stay off the
-   timeline — they dominate event volume and carry no cliff signal. An
-   eviction is tagged with the *victim* page (the one encrypted out),
-   plus the enclave whose fault forced it, so cross-enclave interference
-   is visible per event. *)
-let trace_paging t ?by name page =
-  match t.obs with
-  | Some o ->
-      let args =
-        [ ("enclave", enclave_of_page page); ("page", page_no_of_page page) ]
-        @ match by with Some e -> [ ("by", e) ] | None -> []
-      in
-      Twine_obs.Obs.emit o ~cat:"epc" ~args name;
-      Twine_obs.Obs.emit_counter o ~cat:"epc" "epc.resident"
-        [ ("pages", Lru.length t.resident) ]
-  | None -> ()
+(* Timeline events for the paging that the counters summarise: each
+   fault/eviction lands as an instant tagged with the enclave and page
+   number. Hits stay off the timeline — they dominate event volume and
+   carry no cliff signal. An eviction is tagged with the *victim* page
+   (the one encrypted out), plus the enclave whose fault forced it, so
+   cross-enclave interference is visible per event. *)
+let page_args page =
+  [ ("enclave", enclave_of_page page); ("page", page_no_of_page page) ]
 
 let bump tbl key d =
   let n = try Hashtbl.find tbl key with Not_found -> 0 in
@@ -100,41 +81,49 @@ let note_refault t page =
   | None -> ()
   | Some evictor ->
       Hashtbl.remove t.evicted_by page;
-      t.cross_refault_count <- t.cross_refault_count + 1;
-      record t "epc.refault.cross";
+      Obs.inc t.obs "epc.refault.cross";
       (match t.on_cross_refault with
       | Some f -> f ~owner:(enclave_of_page page) ~evictor
       | None -> ())
 
 let set_refault_hook t f = t.on_cross_refault <- f
-let cross_refaults t = t.cross_refault_count
 
 let touch t page =
   match Lru.find t.resident page with
   | Some () ->
-      t.hit_count <- t.hit_count + 1;
-      record t "epc.hit";
+      Obs.inc t.obs "epc.hit";
       `Hit
   | None ->
-      t.fault_count <- t.fault_count + 1;
-      record t "epc.fault";
+      Obs.inc t.obs "epc.fault";
       note_refault t page;
       bump t.resident_counts (enclave_of_page page) 1;
+      let tracer = Obs.tracer t.obs in
       let victim =
         match Lru.put t.resident page () with
         | Some (victim, ()) ->
-            t.eviction_count <- t.eviction_count + 1;
+            Obs.inc t.obs "epc.evict";
             note_victim t victim;
             bump t.resident_counts (enclave_of_page victim) (-1);
             let by = enclave_of_page page in
             if by <> enclave_of_page victim then
               Hashtbl.replace t.evicted_by victim by;
-            record t "epc.evict";
-            trace_paging t ~by "epc.evict" victim;
+            (match tracer with
+            | Some tr ->
+                Twine_obs.Trace.instant tr ~cat:"epc"
+                  ~args:(page_args victim @ [ ("by", by) ])
+                  "epc.evict"
+            | None -> ());
             Some victim
         | None -> None
       in
-      trace_paging t "epc.fault" page;
+      (* one resident-pages sample per fault, after any eviction *)
+      (match tracer with
+      | Some tr ->
+          Twine_obs.Trace.instant tr ~cat:"epc" ~args:(page_args page)
+            "epc.fault";
+          Twine_obs.Trace.counter tr ~cat:"epc" "epc.resident"
+            [ ("pages", Lru.length t.resident) ]
+      | None -> ());
       `Fault victim
 
 let release_enclave t enclave_id =
@@ -164,9 +153,9 @@ let release_enclave t enclave_id =
   in
   List.iter (Hashtbl.remove t.evicted_by) stale
 
-let hits t = t.hit_count
-let faults t = t.fault_count
-let evictions t = t.eviction_count
+let faults t = Obs.value t.obs "epc.fault"
+let evictions t = Obs.value t.obs "epc.evict"
+let cross_refaults t = Obs.value t.obs "epc.refault.cross"
 
 let evictions_of t enclave_id =
   try Hashtbl.find t.victim_counts enclave_id with Not_found -> 0

@@ -27,8 +27,11 @@ val max_page_no : int
 val max_enclave_id : int
 
 val create : ?obs:Twine_obs.Obs.t -> limit_bytes:int -> unit -> t
-(** @raise Invalid_argument if the limit is below one page. When [obs] is
-    given, every touch records [epc.hit] / [epc.fault] / [epc.evict]. *)
+(** @raise Invalid_argument if the limit is below one page. [obs]
+    (default: a private registry) holds the one count of each paging
+    event — [epc.hit], [epc.fault], [epc.evict], [epc.refault.cross] —
+    which {!faults}, {!evictions} and {!cross_refaults} read, so an
+    [Obs.reset] of it clears them too. *)
 
 val limit_pages : t -> int
 val resident_pages : t -> int
@@ -47,14 +50,11 @@ val release_enclave : t -> int -> unit
     entries for its evicted pages would otherwise leak forever. The
     historical {!evictions_of} count is kept: it describes the past. *)
 
-val hits : t -> int
-(** Total resident-page hits since creation. *)
-
 val faults : t -> int
-(** Total faults since creation. *)
+(** Faults, read from [epc.fault]. *)
 
 val evictions : t -> int
-(** Total pages evicted (encrypted out) to make room since creation. *)
+(** Pages evicted (encrypted out) to make room, read from [epc.evict]. *)
 
 val evictions_of : t -> int -> int
 (** [evictions_of t id]: how many times one of enclave [id]'s pages was
@@ -81,5 +81,4 @@ val set_refault_hook : t -> (owner:int -> evictor:int -> unit) option -> unit
     attribution. *)
 
 val cross_refaults : t -> int
-(** Total cross-enclave refaults since creation (also counted as the
-    [epc.refault.cross] counter when [obs] is attached). *)
+(** Cross-enclave refaults, read from [epc.refault.cross]. *)

@@ -103,7 +103,6 @@ let arm_faults t plan =
     ~notify:(fun (inj : Fault.injection) ->
       let ns = match inj.Fault.action with Fault.Delay n -> n | _ -> 0 in
       charge t ("fault." ^ inj.Fault.site) ns;
-      Twine_obs.Obs.inc t.obs "fault.injected";
       Twine_obs.Obs.emit t.obs ~cat:"fault"
         ~args:[ ("op", inj.Fault.op) ]
         ("fault." ^ inj.Fault.site))

@@ -61,12 +61,12 @@ val arm_faults : t -> Twine_sim.Fault.plan -> unit
 (** Arm a fault plan with its injections booked on this machine: each
     injected fault lands in a [fault.<site>] ledger account (so the
     conservation audit still balances — [Delay] faults charge their
-    virtual ns, all others book a zero-ns event), bumps the
-    [fault.injected] counter and emits a trace instant when a flight
-    recorder is attached. The machine's virtual clock is installed as
-    the plan's time source, so rules with [from_ns]/[until_ns]
-    activation windows gate on this machine's virtual time. Disarm with
-    {!disarm_faults}. *)
+    virtual ns, all others book a zero-ns event; the account's event
+    count is the one count of injections at that site) and emits a
+    trace instant when a flight recorder is attached. The machine's
+    virtual clock is installed as the plan's time source, so rules with
+    [from_ns]/[until_ns] activation windows gate on this machine's
+    virtual time. Disarm with {!disarm_faults}. *)
 
 val disarm_faults : unit -> unit
 (** Disarm the global fault plan (idempotent). *)

@@ -41,8 +41,8 @@ val open_db :
     capacity in 4 KiB pages (default 2048, i.e. SQLite's 8 MiB).
     [hooks] observe page reads/writes/accesses for cost accounting;
     [obs] additionally records pager I/O and cache counters
-    ([sqldb.page_read] / [sqldb.page_write] / [sqldb.cache.*] /
-    [sqldb.journal_write]) into a telemetry registry. *)
+    ([sqldb.cache.hit], [sqldb.cache.miss] — one per page read —,
+    [sqldb.page_write], [sqldb.journal_write]) into a telemetry registry. *)
 
 val close : t -> unit
 (** Rolls back any open transaction and releases the file. *)

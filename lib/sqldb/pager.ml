@@ -66,12 +66,14 @@ let default_hooks () =
   { on_read = (fun _ -> ()); on_write = (fun _ -> ()); on_access = (fun _ -> ());
     on_work = (fun _ -> ()) }
 
-let record ?page t name =
+let record ~page t name =
   match t.obs with
-  | Some o ->
+  | Some o -> (
       Twine_obs.Obs.inc o name;
-      let args = match page with Some p -> [ ("page", p) ] | None -> [] in
-      Twine_obs.Obs.emit o ~cat:"sqldb" ~args name
+      match Twine_obs.Obs.tracer o with
+      | Some tr ->
+          Twine_obs.Trace.instant tr ~cat:"sqldb" ~args:[ ("page", page) ] name
+      | None -> ())
   | None -> ()
 
 let write_header t =
@@ -198,7 +200,6 @@ let read_page t i =
       ignore (Twine_sim.Lru.put t.cache i b);
       t.stats_reads <- t.stats_reads + 1;
       record ~page:i t "sqldb.cache.miss";
-      record ~page:i t "sqldb.page_read";
       t.hooks.on_read i;
       evict_if_needed t;
       b

@@ -300,17 +300,20 @@ let functions t =
   in
   let fn name params results f =
     let f = if results = [] then f else contain name f in
+    let key = "wasi." ^ name in
     ( name,
       Instance.host_func ~name
         { Types.params; results = (match results with [] -> [] | r -> r) }
         (fun args ->
           (match t.obs with
-          | Some o ->
+          | Some o -> (
               Twine_obs.Obs.inc o "wasi.hostcall";
-              Twine_obs.Obs.inc o ("wasi." ^ name);
-              Twine_obs.Obs.emit o ~cat:"wasi"
-                ~args:[ ("calls", Twine_obs.Obs.value o ("wasi." ^ name)) ]
-                ("wasi." ^ name)
+              Twine_obs.Obs.inc o key;
+              match Twine_obs.Obs.tracer o with
+              | Some tr ->
+                  Twine_obs.Trace.instant tr ~cat:"wasi"
+                    ~args:[ ("calls", Twine_obs.Obs.value o key) ] key
+              | None -> ())
           | None -> ());
           t.providers.on_call name;
           f args) )

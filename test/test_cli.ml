@@ -2,7 +2,8 @@
    without cmdliner markup errors, bad arguments exit 2 with a message
    naming the cause, and `twine serve` artifacts replay byte-identically
    (chaos schedules included). Also checks the bench harness's section
-   dispatch. Runs the built binaries as subprocesses. *)
+   dispatch and the rows of its telemetry report. Runs the built
+   binaries as subprocesses. *)
 
 open Twine_obs
 
@@ -222,6 +223,19 @@ let test_bench_unknown_section () =
         (contains err ("\n  " ^ name ^ " ")))
     bench_sections
 
+(* `bench report` prints the counter rows the paper's overhead story
+   reads — ECALLs, EPC paging, WASI dispatch — and the hit rates derived
+   from them, each at the start of a line of the counters table *)
+let test_bench_report_rows () =
+  let code, out, err = run_exe bench [ "report" ] in
+  Alcotest.(check int) ("exit 0: " ^ err) 0 code;
+  List.iter
+    (fun row ->
+      Alcotest.(check bool) ("report has a " ^ row ^ " row") true
+        (contains out ("\n" ^ row ^ " ")))
+    [ "sgx.ecall"; "epc.fault"; "wasi.hostcall"; "ipfs.cache.hit_rate";
+      "epc.hit_rate" ]
+
 let test_malformed_chaos () =
   List.iter
     (fun spec ->
@@ -261,5 +275,7 @@ let () =
         [
           Alcotest.test_case "unknown section exits 2" `Quick
             test_bench_unknown_section;
+          Alcotest.test_case "report telemetry rows" `Quick
+            test_bench_report_rows;
         ] );
     ]

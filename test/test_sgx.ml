@@ -188,7 +188,8 @@ let test_ecall_ocall_costs () =
       (abs (got - want) <= tol)
   in
   within "ecall = 2 crossings" 1 expected ecall_cost;
-  Alcotest.(check int) "transition count" 2 (Enclave.transitions e);
+  Alcotest.(check int) "transition count" 2
+    (Twine_obs.Ledger.events (Machine.ledger m) "sgx.transition.ecall");
   (* nested ecall is free *)
   let t1 = Machine.now_ns m in
   ignore (Enclave.ecall e (fun _ -> Enclave.ecall e (fun _ -> ())));
@@ -200,6 +201,57 @@ let test_ecall_ocall_costs () =
   let t2 = Machine.now_ns m in
   Enclave.ecall e (fun _ -> Enclave.ocall e (fun () -> ()));
   within "ecall+ocall = 4 crossings" 2 (2 * expected) (Machine.now_ns m - t2)
+
+(* Every event has one owner: EPC paging counts live in the machine's
+   Obs registry (and Epc's accessors read them), each call in
+   [sgx.ecall]/[sgx.ocall], each one-way crossing as one booked ledger
+   event. The ledger's fault/evict events must agree with the EPC
+   counts, and a completed call must book exactly two crossings —
+   including a nested ECALL (free) and an ECALL whose body raises. *)
+let test_one_count_per_event () =
+  let m = fresh_machine ~epc_bytes:(4 * page) () in
+  let a = Enclave.create m ~heap_bytes:0 ~code:"a" () in
+  let b = Enclave.create m ~heap_bytes:0 ~code:"b" () in
+  let addr_a = Enclave.alloc a (6 * page) in
+  let addr_b = Enclave.alloc b (3 * page) in
+  Enclave.ecall a (fun a ->
+      Enclave.touch a ~addr:addr_a ~len:(6 * page);
+      Enclave.ecall a (fun _ -> ());
+      Enclave.ocall a (fun () -> Enclave.touch b ~addr:addr_b ~len:(3 * page)));
+  (match
+     Enclave.ecall b (fun b ->
+         Enclave.touch b ~addr:addr_b ~len:page;
+         failwith "body raises")
+   with
+  | () -> Alcotest.fail "the ecall body must raise"
+  | exception Failure _ -> ());
+  Enclave.ecall a (fun a -> Enclave.touch a ~addr:addr_a ~len:(2 * page));
+  let l = Machine.ledger m and obs = Machine.obs m in
+  let events = Twine_obs.Ledger.events l in
+  Alcotest.(check bool) "pressure evicted pages" true (Epc.evictions m.epc > 0);
+  Alcotest.(check int) "faults = fault + evict events"
+    (events "epc.fault" + events "epc.evict")
+    (Epc.faults m.epc);
+  Alcotest.(check int) "evictions = evict events" (events "epc.evict")
+    (Epc.evictions m.epc);
+  Alcotest.(check int) "three outermost ecalls" 3
+    (Twine_obs.Obs.value obs "sgx.ecall");
+  Alcotest.(check int) "one ocall" 1 (Twine_obs.Obs.value obs "sgx.ocall");
+  Alcotest.(check int) "ecall crossings = 2 x calls"
+    (2 * Twine_obs.Obs.value obs "sgx.ecall")
+    (events "sgx.transition.ecall");
+  Alcotest.(check int) "ocall crossings = 2 x calls"
+    (2 * Twine_obs.Obs.value obs "sgx.ocall")
+    (events "sgx.transition.ocall");
+  (* an Epc without a registry counts into a private one *)
+  let epc = Epc.create ~limit_bytes:(2 * page) () in
+  let p e i = Epc.page_of ~enclave_id:e ~page_no:i in
+  List.iter
+    (fun pg -> ignore (Epc.touch epc pg))
+    [ p 1 0; p 1 1; p 2 0; p 1 0; p 1 0 ];
+  Alcotest.(check int) "private faults" 4 (Epc.faults epc);
+  Alcotest.(check int) "private evictions" 2 (Epc.evictions epc);
+  Alcotest.(check int) "private cross refaults" 1 (Epc.cross_refaults epc)
 
 let test_enclave_alloc_touch_faults () =
   (* EPC smaller than the allocation: touching it all causes faults and
@@ -372,6 +424,7 @@ let suite =
       Alcotest.test_case "identity" `Quick test_enclave_identity;
       Alcotest.test_case "launch cost scales" `Quick test_enclave_launch_cost_scales;
       Alcotest.test_case "ecall/ocall costs" `Quick test_ecall_ocall_costs;
+      Alcotest.test_case "one count per event" `Quick test_one_count_per_event;
       Alcotest.test_case "alloc+touch faults" `Quick test_enclave_alloc_touch_faults;
       Alcotest.test_case "software mode paging free" `Quick test_software_mode_no_fault_cost;
       Alcotest.test_case "destroyed" `Quick test_destroyed_enclave;
